@@ -1,18 +1,17 @@
 """E17 — batch round-engine vs the object-per-message SyncNetwork.
 
 Races the columnar engine (:mod:`repro.engine`) against the reference
-simulator on the workloads it was built for: the distributed
+simulator on the workload it was built for: the distributed
 Elkin–Neiman protocol end-to-end (``backend="batch"`` vs
-``backend="sync"``) and the standard protocols (flood, BFS tree, leader
-election).  Every race first asserts bit-identical results — outputs
-*and* :class:`~repro.distributed.metrics.NetworkStats` — so the table
-can only ever show a speedup on equal work.
+``backend="sync"``).  Every race first asserts bit-identical results —
+outputs *and* :class:`~repro.distributed.metrics.NetworkStats` — so the
+table can only ever show a speedup on equal work.
 
 Two modes:
 
-* ``pytest benchmarks/bench_engine.py -s`` — CI-sized workloads
-  (n ≈ 10³), asserts equivalence and emits the table; no wall-clock
-  gate (shared runners are too noisy);
+* ``pytest benchmarks/bench_engine.py -s`` — a CI-sized workload
+  (torus 16 × 16), asserts equivalence and emits the table; no
+  wall-clock gate (shared runners are too noisy);
 * ``python benchmarks/bench_engine.py`` — the full sweep behind the
   PR-acceptance numbers: the n ≈ 10⁵ EN race (gate: ≥ 5x) plus a
   million-node batch-only EN run that must complete (exit code covers
@@ -31,14 +30,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.distributed_en import decompose_distributed
-from repro.distributed import (
-    FloodNode,
-    BFSTreeNode,
-    LeaderElectionNode,
-    SyncNetwork,
-)
-from repro.engine import backend_name, bfs_tree, flood, leader_election
-from repro.graphs import Graph, gnp_fast, torus_graph
+from repro.engine import backend_name
+from repro.graphs import Graph, torus_graph
 
 from _common import emit, median_time, strip_private
 
@@ -46,7 +39,6 @@ SEED = 20160217
 #: EN protocol timing reps (end-to-end runs are seconds-long; medians of
 #: many reps would make the full sweep take an hour).
 EN_REPS = 1
-PROTOCOL_REPS = 3
 
 
 def _row(workload, op, n, sync_t, batch_t):
@@ -61,9 +53,7 @@ def _row(workload, op, n, sync_t, batch_t):
     }
 
 
-# ----------------------------------------------------------------------
-# Races (each asserts bit-identical results before timing counts)
-# ----------------------------------------------------------------------
+# The race asserts bit-identical results before its timing counts.
 def race_en(name: str, graph: Graph, k: float, reps: int = EN_REPS):
     sync_t, sync_r = median_time(
         lambda: decompose_distributed(graph, k=k, seed=SEED, backend="sync"), reps
@@ -80,57 +70,10 @@ def race_en(name: str, graph: Graph, k: float, reps: int = EN_REPS):
     return _row(name, "distributed-en", graph.num_vertices, sync_t, batch_t)
 
 
-def race_protocols(name: str, graph: Graph, reps: int = PROTOCOL_REPS):
-    n = graph.num_vertices
-
-    def sync_flood():
-        net = SyncNetwork(graph, lambda v: FloodNode(v, 0))
-        net.run_until_quiet(n + 1)
-        return (
-            {v: net.algorithm(v).heard_at for v in range(n) if net.algorithm(v).heard_at is not None},
-            net.stats,
-        )
-
-    def sync_tree():
-        net = SyncNetwork(graph, lambda v: BFSTreeNode(v, 0))
-        net.run_until_quiet(n + 2)
-        return (
-            {v: net.algorithm(v).depth for v in range(n) if net.algorithm(v).depth is not None},
-            net.stats,
-        )
-
-    def sync_leader():
-        net = SyncNetwork(graph, lambda v: LeaderElectionNode(v))
-        net.run_until_quiet(n + 2)
-        return ({v: net.algorithm(v).leader for v in range(n)}, net.stats)
-
-    rows = []
-    races = [
-        ("flood", sync_flood, lambda: flood(graph, 0), lambda b: (b.arrival, b.stats)),
-        ("bfs-tree", sync_tree, lambda: bfs_tree(graph, 0), lambda b: (b.depths, b.stats)),
-        ("leader", sync_leader, lambda: leader_election(graph), lambda b: (b.leader, b.stats)),
-    ]
-    for op, sync_fn, batch_fn, view in races:
-        sync_t, sync_out = median_time(sync_fn, reps)
-        batch_t, batch_out = median_time(batch_fn, reps)
-        assert view(batch_out) == sync_out, f"{name}/{op}: engines disagree"
-        rows.append(_row(name, op, n, sync_t, batch_t))
-    return rows
-
-
 def run_sweep(full_scale: bool):
     if full_scale:
-        torus = torus_graph(316, 316)
-        # gnp_fast builds the n=1e5 workload in O(n + m) — the point of
-        # the skip-sampled family (low diameter, so protocol rounds stay
-        # reduction-dominated rather than dispatch-dominated).
-        sparse_gnp = gnp_fast(100_000, 6.0 / 100_000, seed=2)
-        rows = [race_en("torus:316:316", torus, k=12)]
-        rows += race_protocols("gnp_fast:1e5:6/n", sparse_gnp)
-    else:
-        rows = [race_en("torus:16:16", torus_graph(16, 16), k=6, reps=1)]
-        rows += race_protocols("gnp_fast:2048:0.004", gnp_fast(2048, 0.004, seed=2), reps=1)
-    return rows
+        return [race_en("torus:316:316", torus_graph(316, 316), k=12)]
+    return [race_en("torus:16:16", torus_graph(16, 16), k=6, reps=1)]
 
 
 def million_node_run():

@@ -3,10 +3,11 @@
 The telemetry contract (``docs/telemetry.md``): with ``REPRO_TELEMETRY``
 off, the instrumented engine hot path must stay within 2% of an
 untraced build.  There is no untraced build to race at runtime, so the
-baseline arm replicates :func:`repro.core.distributed_en
-.decompose_distributed`'s driver loop verbatim with **zero** telemetry
-calls — no ``resolve``, no ``maybe_span``, ``rounds=None`` wired
-statically — the exact pre-telemetry hot path.  Both arms first assert
+baseline arm replicates the EN driver's phase loop
+(:func:`repro.distributed.phases.run_phases` with the EN protocol of
+:func:`repro.core.distributed_en.decompose_distributed`) verbatim with
+**zero** telemetry calls — no ``resolve``, no ``maybe_span``,
+``rounds=None`` wired statically — the exact pre-telemetry hot path.  Both arms first assert
 bit-identical outputs (same stats, same phase/round counts), so the
 ratio can only ever price the instrumentation.
 
@@ -78,9 +79,10 @@ def _baseline_decompose(graph: Graph, k: float, seed: int):
     """The untraced build: the driver loop with zero telemetry calls.
 
     Mirrors ``decompose_distributed(backend="batch", mode="toptwo",
-    adaptive_phase_length=True)`` line for line — including the
-    truncation bookkeeping and final decomposition assembly, so the
-    baseline does all the same non-telemetry work.
+    adaptive_phase_length=True)`` — the harness loop plus the EN radius
+    draw — line for line, including the truncation bookkeeping and final
+    decomposition assembly, so the baseline does all the same
+    non-telemetry work.
     """
     schedule = Theorem1Schedule(n=max(graph.num_vertices, 1), k=k, c=4.0)
     runner = BatchENPhases(graph, "toptwo")
@@ -98,11 +100,12 @@ def _baseline_decompose(graph: Graph, k: float, seed: int):
             find_truncation_events(radii, phase, getattr(schedule, "k", math.inf))
         )
         budget = max((math.floor(r) for r in radii.values()), default=0)
-        joined = runner.run_phase(phase, beta, budget, radii)
+        joined = runner.run_phase(phase, budget, radii)
         rounds_per_phase.append(budget + 2)
         blocks.append(sorted(joined))
         centers.update(joined)
         active -= joined.keys()
+    runner.finish()
     decomposition = NetworkDecomposition.from_blocks(graph, blocks, centers)
     return decomposition, runner.stats, phase, rounds_per_phase
 

@@ -29,84 +29,52 @@ from typing import TYPE_CHECKING, Literal, Sequence
 from ..core.decomposition import Cluster, NetworkDecomposition
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.node import Context, NodeAlgorithm
-from ..distributed.synchronizer import build_network
-from ..errors import ParameterError
+from ..distributed.node import Context
+from ..distributed.phases import DriverRun, PhaseNode
+from ..errors import ParameterError, SimulationError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED, stream
-from ..telemetry import maybe_span, resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import Telemetry
 
 __all__ = ["MPXNodeAlgorithm", "DistributedMPXResult", "partition_distributed"]
 
-_BCAST = "b"
 
+class MPXNodeAlgorithm(PhaseNode):
+    """Node-local logic of the one-shot MPX competition.
 
-class MPXNodeAlgorithm(NodeAlgorithm):
-    """Node-local logic of the one-shot MPX competition."""
+    A single phase of the shared node state machine, without the announce
+    round: the node decides — and halts — in network round ``B + 1``.
+    """
 
     def __init__(
         self, vertex: int, seed: int, beta: float, mode: Literal["full", "topone"]
     ) -> None:
         if mode not in ("full", "topone"):
             raise ParameterError(f"mode must be 'full' or 'topone', got {mode!r}")
-        self.vertex = vertex
-        self.seed = seed
+        super().__init__(vertex, seed)
         self.beta = beta
         self.mode = mode
+        self.top = None if mode == "full" else 1
         self.shift = 0.0
-        self.broadcast_rounds = 0
-        self.entries: dict[int, tuple[float, int]] = {}
-        self._new_origins: list[int] = []
-        self._sent_origins: set[int] = set()
-        self.center: int | None = None
 
     def configure(self, broadcast_rounds: int) -> None:
         """Set the flood length ``B`` (common-knowledge parameter)."""
         self.broadcast_rounds = broadcast_rounds
 
     def on_start(self, ctx: Context) -> None:
+        super().on_start(ctx)
         self.shift = stream(self.seed, "mpx-shift", self.vertex).expovariate(self.beta)
-        self.entries = {self.vertex: (self.shift, 0)}
-        self._new_origins = [self.vertex]
+        self.reset_phase(1, self.shift, self.broadcast_rounds)
 
     def on_round(self, ctx: Context, inbox: Sequence[Message]) -> None:
-        for message in inbox:
-            _tag, origin, shift, distance = message.payload
-            known = self.entries.get(origin)
-            if known is None or distance < known[1]:
-                self.entries[origin] = (shift, distance)
-                self._new_origins.append(origin)
+        self._merge(inbox)
         if ctx.round_number <= self.broadcast_rounds:
             self._forward(ctx)
         if ctx.round_number == self.broadcast_rounds + 1:
-            self.center = min(
-                self.entries,
-                key=lambda o: (-(self.entries[o][0] - self.entries[o][1]), o),
-            )
+            self.center = min(self.entries, key=lambda o: (-self._shifted(o), o))
             ctx.halt()
-
-    def _eligible(self, origin: int) -> bool:
-        shift, distance = self.entries[origin]
-        return distance + 1 <= math.floor(shift)
-
-    def _forward(self, ctx: Context) -> None:
-        if self.mode == "full":
-            outgoing = [o for o in self._new_origins if self._eligible(o)]
-        else:
-            eligible = [o for o in self.entries if self._eligible(o)]
-            eligible.sort(
-                key=lambda o: (-(self.entries[o][0] - self.entries[o][1]), o)
-            )
-            outgoing = [o for o in eligible[:1] if o not in self._sent_origins]
-        self._new_origins = []
-        for origin in outgoing:
-            self._sent_origins.add(origin)
-            shift, distance = self.entries[origin]
-            for neighbor in ctx.neighbors:
-                ctx.send(neighbor, (_BCAST, origin, shift, distance + 1))
 
 
 @dataclass
@@ -142,9 +110,10 @@ def partition_distributed(
     assignment and stats.  ``backend="async"`` runs it on the
     α-synchronized asynchronous engine under a ``delivery`` schedule and
     optional ``faults`` plan (``docs/async.md``); note the one-shot
-    competition requires every vertex to decide, so fault plans that
-    crash a node through its decision round trip the assignment
-    assertion — use drop faults (a vertex always holds its own entry).
+    competition requires every vertex to decide, so a fault plan that
+    crashes a node through its decision round raises
+    :class:`~repro.errors.SimulationError` naming the undecided vertices
+    — use drop faults (a vertex always holds its own entry).
     ``telemetry`` (or the ambient trace) enables the run span and the
     ``mpx.rounds`` metrics stream.
     """
@@ -152,64 +121,44 @@ def partition_distributed(
         raise ParameterError(f"beta must be positive, got {beta}")
     if mode not in ("full", "topone"):
         raise ParameterError(f"mode must be 'full' or 'topone', got {mode!r}")
-    if backend not in ("sync", "batch", "async"):
-        raise ParameterError(
-            f"backend must be 'sync', 'batch' or 'async', got {backend!r}"
-        )
-    if backend != "async" and (delivery != "fifo" or faults not in (None, "", "none")):
-        raise ParameterError(
-            f"delivery/faults require backend='async', got backend={backend!r}"
-        )
-    n = graph.num_vertices
-    tel = resolve(telemetry)
-    rounds = (
-        tel.round_stream("mpx.rounds", backend=backend, mode=mode)
-        if tel is not None
-        else None
+    run = DriverRun(
+        "mpx", graph, seed, word_budget, backend, delivery, faults, telemetry,
+        mode=mode,
     )
-    causal = tel.causal_log("mpx.causal") if tel is not None else None
+    n = graph.num_vertices
     shifts = {
         v: stream(seed, "mpx-shift", v).expovariate(beta) for v in range(n)
     }
     budget = max((math.floor(s) for s in shifts.values()), default=0)
-    span_attrs = {"backend": backend, "mode": mode, "n": n}
-    if backend == "async":
-        span_attrs["delivery"] = delivery
-        span_attrs["faults"] = faults or "none"
-    with maybe_span(tel, "mpx.partition", **span_attrs) as run_span:
+    with run.span("partition", mode=mode, n=n) as run_span:
         if backend == "batch":
             from ..engine.mpx import run_mpx_batch
 
             center_of, stats = run_mpx_batch(
-                graph, shifts, budget, mode, word_budget, rounds=rounds,
-                causal=causal,
+                graph, shifts, budget, mode, word_budget, rounds=run.rounds,
+                causal=run.causal,
             )
         else:
             algorithms = [MPXNodeAlgorithm(v, seed, beta, mode) for v in range(n)]
             for algorithm in algorithms:
                 algorithm.configure(budget)
-            network = build_network(
-                graph, algorithms, seed=seed, word_budget=word_budget,
-                rounds=rounds, causal=causal, backend=backend,
-                delivery=delivery, faults=faults,
-            )
+            network = run.network(algorithms)
             network.start()
             network.run_rounds(budget + 1)
             network.finish_rounds()
             stats = network.stats
-            center_of = {}
-            for v in range(n):
-                algorithm = network.algorithm(v)
-                assert isinstance(algorithm, MPXNodeAlgorithm)
-                assert algorithm.center is not None, "every vertex must be assigned"
-                center_of[v] = algorithm.center
+            undecided = [v for v in range(n) if algorithms[v].center is None]
+            if undecided:
+                raise SimulationError(
+                    f"MPX vertices {undecided} never decided: every vertex must "
+                    f"reach decision round {budget + 1}, but faults={faults!r} "
+                    "crashed them through it"
+                )
+            center_of = {v: algorithms[v].center for v in range(n)}
         if run_span is not None:
             run_span.add("rounds", budget + 1)
-            async_stats = getattr(network, "async_stats", None) if backend == "async" else None
-            if async_stats is not None:
-                run_span.annotate(**async_stats.as_dict())
     if run_span is not None:
-        tel.histogram("mpx.partition_seconds").record(run_span.seconds)
+        run.tel.histogram("mpx.partition_seconds").record(run_span.seconds)
     by_center: dict[int, list[int]] = {}
     for v, center in center_of.items():
         by_center.setdefault(center, []).append(v)

@@ -43,17 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import TYPE_CHECKING, Literal
 
-from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.node import Context, NodeAlgorithm
-from ..distributed.synchronizer import build_network
-from ..errors import ParameterError, SimulationError
-from ..graphs.activeset import ActiveSet
+from ..distributed.phases import DriverRun, PhaseNode, PhaseProtocol
+from ..errors import ParameterError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED
-from ..telemetry import maybe_span, resolve
 from .decomposition import NetworkDecomposition
 from .params import PhaseSchedule, Theorem1Schedule
 from .shifts import TruncationEvent, find_truncation_events, sample_phase_radii, sample_radius
@@ -65,11 +61,8 @@ __all__ = ["ENNodeAlgorithm", "DistributedRunResult", "decompose_distributed"]
 
 ForwardMode = Literal["full", "toptwo"]
 
-_BCAST = "b"
-_LEFT = "left"
 
-
-class ENNodeAlgorithm(NodeAlgorithm):
+class ENNodeAlgorithm(PhaseNode):
     """Node-local state machine of the Elkin–Neiman protocol.
 
     The driver calls :meth:`begin_phase` between phases (phase boundaries
@@ -80,25 +73,10 @@ class ENNodeAlgorithm(NodeAlgorithm):
     def __init__(self, vertex: int, seed: int, mode: ForwardMode) -> None:
         if mode not in ("full", "toptwo"):
             raise ParameterError(f"mode must be 'full' or 'toptwo', got {mode!r}")
-        self.vertex = vertex
-        self.seed = seed
+        super().__init__(vertex, seed)
         self.mode: ForwardMode = mode
-        # Lifetime state.
-        self.active_neighbors: set[int] | None = None
-        self.joined_phase: int | None = None
-        self.center: int | None = None
-        # Per-phase state.
-        self.phase = 0
-        self.radius = 0.0
-        self.broadcast_rounds = 0
-        self.round_in_phase = 0
-        self.entries: dict[int, tuple[float, int]] = {}
-        self._new_origins: list[int] = []
-        self._sent_origins: set[int] = set()
+        self.top = None if mode == "full" else 2
 
-    # ------------------------------------------------------------------
-    # Control plane (driver)
-    # ------------------------------------------------------------------
     def begin_phase(self, phase: int, beta: float, broadcast_rounds: int) -> None:
         """Arm the node for phase ``phase`` with rate ``beta``.
 
@@ -107,69 +85,8 @@ class ENNodeAlgorithm(NodeAlgorithm):
         The node draws its radius from the shared stream — the same value
         the centralized reference uses.
         """
-        self.phase = phase
-        self.radius = sample_radius(self.seed, phase, self.vertex, beta)
-        self.broadcast_rounds = broadcast_rounds
-        self.round_in_phase = 0
-        self.entries = {self.vertex: (self.radius, 0)}
-        self._new_origins = [self.vertex]
-        self._sent_origins = set()
-
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-    def on_start(self, ctx: Context) -> None:
-        self.active_neighbors = set(ctx.neighbors)
-
-    def on_round(self, ctx: Context, inbox: Sequence[Message]) -> None:
-        self.round_in_phase += 1
-        assert self.active_neighbors is not None
-        for message in inbox:
-            payload = message.payload
-            if payload[0] == _LEFT:
-                self.active_neighbors.discard(message.sender)
-                continue
-            _tag, origin, radius, distance = payload
-            known = self.entries.get(origin)
-            if known is None or distance < known[1]:
-                self.entries[origin] = (radius, distance)
-                self._new_origins.append(origin)
-        if self.round_in_phase <= self.broadcast_rounds:
-            self._forward(ctx)
-        if self.round_in_phase == self.broadcast_rounds + 1:
-            self._decide()
-        elif self.round_in_phase == self.broadcast_rounds + 2:
-            if self.joined_phase == self.phase:
-                for neighbor in sorted(self.active_neighbors):
-                    ctx.send(neighbor, (_LEFT,))
-                ctx.halt()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _eligible(self, origin: int) -> bool:
-        """Whether ``origin``'s value may travel one more hop."""
-        radius, distance = self.entries[origin]
-        return distance + 1 <= math.floor(radius)
-
-    def _shifted(self, origin: int) -> float:
-        radius, distance = self.entries[origin]
-        return radius - distance
-
-    def _forward(self, ctx: Context) -> None:
-        assert self.active_neighbors is not None
-        if self.mode == "full":
-            outgoing = [o for o in self._new_origins if self._eligible(o)]
-        else:
-            eligible = [o for o in self.entries if self._eligible(o)]
-            eligible.sort(key=lambda o: (-self._shifted(o), o))
-            outgoing = [o for o in eligible[:2] if o not in self._sent_origins]
-        self._new_origins = []
-        for origin in outgoing:
-            self._sent_origins.add(origin)
-            radius, distance = self.entries[origin]
-            for neighbor in sorted(self.active_neighbors):
-                ctx.send(neighbor, (_BCAST, origin, radius, distance + 1))
+        radius = sample_radius(self.seed, phase, self.vertex, beta)
+        self.reset_phase(phase, radius, broadcast_rounds)
 
     def _decide(self) -> None:
         best = -math.inf
@@ -225,68 +142,6 @@ class DistributedRunResult:
     def total_rounds(self) -> int:
         """Total communication rounds across all phases."""
         return sum(self.rounds_per_phase)
-
-
-class _SyncENPhases:
-    """Reference phase executor: one :class:`ENNodeAlgorithm` per vertex
-    stepped by :class:`SyncNetwork` (the pre-batch-engine behaviour,
-    preserved verbatim) — or, with ``backend="async"``, by the
-    α-synchronized :class:`~repro.distributed.async_net.AsyncNetwork`
-    under a delivery schedule and fault plan."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        seed: int,
-        mode: ForwardMode,
-        word_budget: int | None,
-        rounds=None,
-        causal=None,
-        backend: str = "sync",
-        delivery: str = "fifo",
-        faults=None,
-    ) -> None:
-        self._seed = seed
-        self._network = build_network(
-            graph,
-            [ENNodeAlgorithm(v, seed, mode) for v in range(graph.num_vertices)],
-            seed=seed,
-            word_budget=word_budget,
-            rounds=rounds,
-            causal=causal,
-            backend=backend,
-            delivery=delivery,
-            faults=faults,
-        )
-        self._network.start()
-
-    @property
-    def stats(self) -> NetworkStats:
-        return self._network.stats
-
-    @property
-    def async_stats(self):
-        """Adversary counters (``None`` on the sync engine)."""
-        return getattr(self._network, "async_stats", None)
-
-    def finish(self) -> None:
-        self._network.finish_rounds()
-
-    def run_phase(self, phase, beta, budget, radii):
-        # Nodes re-derive their own radii from (seed, phase, beta); the
-        # driver's ``radii`` dict doubles as the live-vertex list here.
-        for v in radii:
-            algorithm = self._network.algorithm(v)
-            assert isinstance(algorithm, ENNodeAlgorithm)
-            algorithm.begin_phase(phase, beta, budget)
-        self._network.run_rounds(budget + 2)
-        joined: dict[int, int] = {}
-        for v in radii:
-            algorithm = self._network.algorithm(v)
-            assert isinstance(algorithm, ENNodeAlgorithm)
-            if algorithm.joined_phase == phase:
-                joined[v] = algorithm.center if algorithm.center is not None else v
-        return joined
 
 
 def decompose_distributed(
@@ -361,98 +216,54 @@ def decompose_distributed(
     """
     if mode not in ("full", "toptwo"):
         raise ParameterError(f"mode must be 'full' or 'toptwo', got {mode!r}")
-    if backend not in ("sync", "batch", "async"):
-        raise ParameterError(
-            f"backend must be 'sync', 'batch' or 'async', got {backend!r}"
-        )
-    if backend != "async" and (delivery != "fifo" or faults not in (None, "", "none")):
-        raise ParameterError(
-            f"delivery/faults require backend='async', got backend={backend!r}"
-        )
     if schedule is None:
         if k is None:
             raise ParameterError("either k or an explicit schedule is required")
         schedule = Theorem1Schedule(n=max(graph.num_vertices, 1), k=k, c=c)
-    if max_phases is None:
-        max_phases = 10 * schedule.nominal_phases + 100
-    n = graph.num_vertices
-    tel = resolve(telemetry)
-    rounds = (
-        tel.round_stream("en.rounds", backend=backend, mode=mode)
-        if tel is not None
-        else None
-    )
-    causal = tel.causal_log("en.causal") if tel is not None else None
-    if backend in ("sync", "async"):
-        runner = _SyncENPhases(
-            graph, seed, mode, word_budget, rounds, causal,
-            backend=backend, delivery=delivery, faults=faults,
+    truncations: list[TruncationEvent] = []
+
+    def draw(phase, active):
+        # Driver-side rederivation of the radii (control plane bookkeeping
+        # only — each node draws its own value from the same stream; the
+        # batch executor consumes these exact values).
+        radii = sample_phase_radii(seed, phase, active, schedule.beta(phase))
+        truncations.extend(
+            find_truncation_events(radii, phase, getattr(schedule, "k", math.inf))
         )
-    else:
+        if adaptive_phase_length:
+            return radii, max((math.floor(r) for r in radii.values()), default=0)
+        return radii, schedule.range_cap(phase)
+
+    def batch(rounds, causal):
         from ..engine.en import BatchENPhases
 
-        runner = BatchENPhases(graph, mode, word_budget, rounds=rounds, causal=causal)
-    active = ActiveSet.full(n)
-    blocks: list[list[int]] = []
-    centers: dict[int, int] = {}
-    rounds_per_phase: list[int] = []
-    truncations: list[TruncationEvent] = []
-    phase = 0
-    span_attrs = {"backend": backend, "mode": mode, "n": n}
-    if backend == "async":
-        # The replay key: (seed, delivery, faults) pins the adversary.
-        span_attrs["delivery"] = delivery
-        span_attrs["faults"] = faults or "none"
-    phase_hist = tel.histogram("en.phase_seconds") if tel is not None else None
-    with maybe_span(tel, "en.decompose", **span_attrs) as run_span:
-        while active:
-            phase += 1
-            if phase > max_phases:
-                raise SimulationError(
-                    f"graph not exhausted after {max_phases} phases "
-                    f"(nominal budget {schedule.nominal_phases})"
-                )
-            beta = schedule.beta(phase)
-            with maybe_span(tel, "phase", phase=phase) as phase_span:
-                # Driver-side rederivation of the radii (control plane
-                # bookkeeping only — each node draws its own value from the
-                # same stream; the batch executor consumes these exact values).
-                radii = sample_phase_radii(seed, phase, active, beta)
-                truncations.extend(
-                    find_truncation_events(
-                        radii, phase, getattr(schedule, "k", math.inf)
-                    )
-                )
-                if adaptive_phase_length:
-                    budget = max(
-                        (math.floor(r) for r in radii.values()), default=0
-                    )
-                else:
-                    budget = schedule.range_cap(phase)
-                joined = runner.run_phase(phase, beta, budget, radii)
-                if phase_span is not None:
-                    phase_span.annotate(budget=budget)
-                    phase_span.add("joined", len(joined))
-            if phase_span is not None:
-                phase_hist.record(phase_span.seconds)
-            rounds_per_phase.append(budget + 2)
-            blocks.append(sorted(joined))
-            centers.update(joined)
-            active -= joined.keys()
-        if tel is not None:
-            runner.finish()
-            run_span.add("phases", phase)
-            run_span.add("rounds", sum(rounds_per_phase))
-            async_stats = getattr(runner, "async_stats", None)
-            if async_stats is not None:
-                run_span.annotate(**async_stats.as_dict())
-    decomposition = NetworkDecomposition.from_blocks(graph, blocks, centers)
+        return BatchENPhases(graph, mode, word_budget, rounds=rounds, causal=causal)
+
+    run = DriverRun(
+        "en", graph, seed, word_budget, backend, delivery, faults, telemetry,
+        mode=mode,
+    ).run_phases(
+        PhaseProtocol(
+            attrs={"mode": mode, "n": graph.num_vertices},
+            nominal_phases=schedule.nominal_phases,
+            draw=draw,
+            node=lambda v: ENNodeAlgorithm(v, seed, mode),
+            arm=lambda node, phase, budget: node.begin_phase(
+                phase, schedule.beta(phase), budget
+            ),
+            batch=batch,
+        ),
+        max_phases,
+    )
+    centers = {v: center for joined in run.joined for v, center in joined.items()}
+    blocks = [sorted(joined) for joined in run.joined]
+    phases = len(run.joined)
     return DistributedRunResult(
-        decomposition=decomposition,
-        stats=runner.stats,
-        phases=phase,
-        rounds_per_phase=rounds_per_phase,
+        decomposition=NetworkDecomposition.from_blocks(graph, blocks, centers),
+        stats=run.stats,
+        phases=phases,
+        rounds_per_phase=run.rounds_per_phase,
         nominal_phases=schedule.nominal_phases,
-        exhausted_within_nominal=phase <= schedule.nominal_phases,
+        exhausted_within_nominal=phases <= schedule.nominal_phases,
         truncation_events=truncations,
     )

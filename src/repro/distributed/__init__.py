@@ -16,7 +16,10 @@ form:
 * :class:`~repro.distributed.async_net.AsyncNetwork` + the α-synchronizer
   (:mod:`~repro.distributed.synchronizer`) — the same node contract under
   asynchronous delivery (:mod:`~repro.distributed.schedule`) and seeded
-  fault injection (:mod:`~repro.distributed.faults`); see ``docs/async.md``.
+  fault injection (:mod:`~repro.distributed.faults`); see ``docs/async.md``;
+* :mod:`~repro.distributed.phases` — the driver harness of the EN/LS/MPX
+  protocols: backend validation, engine construction, telemetry wiring,
+  the shared phase loop and the node-side phase state machine.
 """
 
 from .async_net import AsyncNetwork, AsyncStats, live_networks
@@ -26,7 +29,7 @@ from .metrics import NetworkStats
 from .network import SyncNetwork
 from .node import Context, NodeAlgorithm
 from .schedule import Schedule, parse_schedule
-from .synchronizer import AlphaSynchronizer, build_network
+from .synchronizer import AlphaSynchronizer
 from .protocols import (
     BFSTreeNode,
     ConvergecastSumNode,
@@ -37,7 +40,6 @@ from .protocols import (
     run_flood,
     run_leader_election,
 )
-from .tracing import TraceEvent, TraceRecorder
 
 __all__ = [
     "AlphaSynchronizer",
@@ -55,9 +57,6 @@ __all__ = [
     "NodeAlgorithm",
     "Schedule",
     "SyncNetwork",
-    "TraceEvent",
-    "TraceRecorder",
-    "build_network",
     "live_networks",
     "parse_schedule",
     "payload_words",

@@ -23,7 +23,7 @@ ordered by ``(arrival_time, order, seq)``, and nodes execute in
 
 Equivalence contract: under the FIFO schedule with no fault plan, every
 observable — decompositions, :class:`~repro.distributed.metrics
-.NetworkStats`, telemetry round streams, trace events — is bit-identical
+.NetworkStats`, telemetry round streams, causal logs — is bit-identical
 to a :class:`SyncNetwork` run: delays are zero, arrival order equals
 send order (which equals the sync engine's sender-sorted inbox order),
 and ready times degenerate to ascending node id.
@@ -65,7 +65,6 @@ from .metrics import NetworkStats
 from .node import Context, NodeAlgorithm
 from .schedule import Schedule, parse_schedule
 from .synchronizer import AlphaSynchronizer
-from .tracing import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.causality import CausalLog
@@ -133,7 +132,6 @@ class AsyncNetwork:
         algorithms: Sequence[NodeAlgorithm] | Callable[[int], NodeAlgorithm],
         seed: int = DEFAULT_SEED,
         word_budget: int | None = None,
-        tracer: "TraceRecorder | None" = None,
         rounds: "RoundStream | None" = None,
         causal: "CausalLog | None" = None,
         delivery: "str | Schedule | None" = "fifo",
@@ -165,7 +163,6 @@ class AsyncNetwork:
                     )
             self._faults.reset(seed)
         self._word_budget = word_budget
-        self._tracer = tracer
         self._rounds = rounds
         self._causal = causal
         self._extras_enabled = rounds is not None and (
@@ -461,27 +458,18 @@ class AsyncNetwork:
     def _flush_outbox(self) -> None:
         """End-of-pulse accounting + event scheduling.
 
-        The bookkeeping sequence (halt detection, tracer events, traffic
-        stats, budget enforcement, round-stream emission, halted-receiver
-        drops) replicates ``SyncNetwork._flush_outbox`` operation for
-        operation — under a FIFO schedule with no faults the two engines
-        keep literally the same books.
+        The bookkeeping sequence (halt detection, causal halt records,
+        traffic stats, budget enforcement, round-stream emission,
+        halted-receiver drops) replicates ``SyncNetwork._flush_outbox``
+        operation for operation — under a FIFO schedule with no faults
+        the two engines keep literally the same books.
         """
         newly_halted: list[int] = []
-        if (
-            self._tracer is not None
-            or self._rounds is not None
-            or self._causal is not None
-        ):
+        if self._rounds is not None or self._causal is not None:
             for v, ctx in enumerate(self._contexts):
                 if ctx.halted and v not in self._halted_seen:
                     self._halted_seen.add(v)
                     newly_halted.append(v)
-        if self._tracer is not None:
-            for message in self._outbox:
-                self._tracer.on_send(message)
-            for v in newly_halted:
-                self._tracer.on_halt(v, self._round)
         if self._causal is not None:
             for v in newly_halted:
                 self._causal.halt(v, self._round)

@@ -28,7 +28,6 @@ from ..rng import DEFAULT_SEED, stream
 from .message import Message
 from .metrics import NetworkStats
 from .node import Context, NodeAlgorithm
-from .tracing import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.causality import CausalLog
@@ -53,9 +52,6 @@ class SyncNetwork:
     word_budget:
         Per-directed-edge, per-round word limit (CONGEST mode), or ``None``
         for the LOCAL model (unbounded but measured).
-    tracer:
-        Optional per-message event subscriber
-        (:class:`~repro.telemetry.events.EventRecorder`).
     rounds:
         Optional per-round metrics subscriber
         (:class:`~repro.telemetry.rounds.RoundStream`): one
@@ -94,7 +90,6 @@ class SyncNetwork:
         algorithms: Sequence[NodeAlgorithm] | Callable[[int], NodeAlgorithm],
         seed: int = DEFAULT_SEED,
         word_budget: int | None = None,
-        tracer: "TraceRecorder | None" = None,
         rounds: "RoundStream | None" = None,
         causal: "CausalLog | None" = None,
     ) -> None:
@@ -113,7 +108,6 @@ class SyncNetwork:
             for v in range(n)
         ]
         self._word_budget = word_budget
-        self._tracer = tracer
         self._rounds = rounds
         self._causal = causal
         # Live-node list (ascending): rebuilt only on rounds where some
@@ -264,20 +258,11 @@ class SyncNetwork:
     def _flush_outbox(self) -> None:
         """Move sent messages into the pending queue, enforcing bandwidth."""
         newly_halted: list[int] = []
-        if (
-            self._tracer is not None
-            or self._rounds is not None
-            or self._causal is not None
-        ):
+        if self._rounds is not None or self._causal is not None:
             for v, ctx in enumerate(self._contexts):
                 if ctx.halted and v not in self._halted_seen:
                     self._halted_seen.add(v)
                     newly_halted.append(v)
-        if self._tracer is not None:
-            for message in self._outbox:
-                self._tracer.on_send(message)
-            for v in newly_halted:
-                self._tracer.on_halt(v, self._round)
         if self._causal is not None:
             for v in newly_halted:
                 self._causal.halt(v, self._round)

@@ -34,27 +34,18 @@ is why a fault-free FIFO :class:`~repro.distributed.async_net
 :class:`~repro.distributed.network.SyncNetwork` (the equivalence the
 ``tests/distributed/test_schedule_properties.py`` harness pins).
 
-:func:`build_network` is the driver-facing factory: EN/LS/MPX construct
-their engine through it, so ``backend="async"`` is one keyword away from
-the reference simulator.
+Drivers construct their engine through
+:class:`repro.distributed.phases.DriverRun`, so ``backend="async"`` is
+one keyword away from the reference simulator.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from ..errors import ParameterError
 from ..graphs.graph import Graph
-from ..rng import DEFAULT_SEED
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..telemetry.causality import CausalLog
-    from ..telemetry.rounds import RoundStream
-    from .faults import FaultPlan
-    from .node import NodeAlgorithm
-    from .tracing import TraceRecorder
-
-__all__ = ["AlphaSynchronizer", "build_network"]
+__all__ = ["AlphaSynchronizer"]
 
 
 class AlphaSynchronizer:
@@ -110,44 +101,3 @@ class AlphaSynchronizer:
         """Node ``v``'s virtual clock (time of its latest pulse)."""
         return self.clocks[v]
 
-
-def build_network(
-    graph: Graph,
-    algorithms: "Sequence[NodeAlgorithm] | Callable[[int], NodeAlgorithm]",
-    seed: int = DEFAULT_SEED,
-    word_budget: "int | None" = None,
-    tracer: "TraceRecorder | None" = None,
-    rounds: "RoundStream | None" = None,
-    causal: "CausalLog | None" = None,
-    backend: str = "sync",
-    delivery: str = "fifo",
-    faults: "str | FaultPlan | None" = None,
-):
-    """Build the engine a driver asked for: ``"sync"`` or ``"async"``.
-
-    ``delivery`` (a :mod:`.schedule` spec) and ``faults`` (a
-    :mod:`.faults` spec) only make sense on the asynchronous engine;
-    passing them with ``backend="sync"`` raises — silently ignoring an
-    adversary would make a run look robust without testing anything.
-    """
-    if backend == "sync":
-        if (delivery not in (None, "fifo")) or faults not in (None, "", "none"):
-            raise ParameterError(
-                "delivery schedules and fault plans need backend='async' "
-                f"(got backend='sync' with delivery={delivery!r}, faults={faults!r})"
-            )
-        from .network import SyncNetwork
-
-        return SyncNetwork(
-            graph, algorithms, seed=seed, word_budget=word_budget,
-            tracer=tracer, rounds=rounds, causal=causal,
-        )
-    if backend == "async":
-        from .async_net import AsyncNetwork
-
-        return AsyncNetwork(
-            graph, algorithms, seed=seed, word_budget=word_budget,
-            tracer=tracer, rounds=rounds, causal=causal,
-            delivery=delivery, faults=faults,
-        )
-    raise ParameterError(f"backend must be 'sync' or 'async', got {backend!r}")

@@ -26,21 +26,33 @@ epoch, executed columnarly:
   scanning the sender's live CSR row.
 
 :class:`LiveTopology` tracks the shrinking vertex set :math:`G_t`
-(byte mask + live-degree array maintained incrementally), and
+(byte mask + live-degree array maintained incrementally),
 :func:`announce_round` implements the shared "joiners tell their
 neighbours and halt" round, including the reference engine's
-dropped-message accounting for messages addressed to co-joiners.
+dropped-message accounting for messages addressed to co-joiners, and
+:class:`BatchPhases` is the shell of the EN/LS phase executors.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .core import BatchEngine
 from .primitives import live_degrees
 
-__all__ = ["BROADCAST_WORDS", "LiveTopology", "ShiftedFlood", "announce_round"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..graphs.graph import Graph
+    from ..telemetry.causality import CausalLog
+    from ..telemetry.rounds import RoundStream
+
+__all__ = [
+    "BROADCAST_WORDS",
+    "BatchPhases",
+    "LiveTopology",
+    "ShiftedFlood",
+    "announce_round",
+]
 
 _NEG_INF = -math.inf
 
@@ -72,9 +84,6 @@ class LiveTopology:
         self.live = bytearray(b"\x01") * n
         self.live_list: List[int] = list(range(n))
         self.live_deg = live_degrees(graph, self.live)
-
-    def __len__(self) -> int:
-        return len(self.live_list)
 
     def remove(self, vertices: Iterable[int]) -> None:
         """Carve ``vertices`` out of the live set, updating degrees."""
@@ -114,9 +123,6 @@ class ShiftedFlood:
         ``"full"`` forwards every newly improved entry (LOCAL-style);
         an integer ``k`` applies the CONGEST top-``k`` rule (2 for EN's
         top-two mode, 1 for MPX's top-one mode).
-    words_per_message:
-        CONGEST cost of one broadcast record (4 for the
-        ``(tag, origin, value, distance)`` payloads of EN/LS/MPX).
     first_round_delivered:
         Messages already in flight into this epoch's round 1 (the
         previous phase's announce messages), counted as delivered there.
@@ -129,7 +135,6 @@ class ShiftedFlood:
         values: Mapping[int, float],
         caps: Mapping[int, int],
         policy,
-        words_per_message: int = BROADCAST_WORDS,
         first_round_delivered: int = 0,
     ) -> None:
         self.engine = engine
@@ -137,7 +142,7 @@ class ShiftedFlood:
         self.values = values
         self.caps = caps
         self.policy = policy
-        self.words = words_per_message
+        self.words = BROADCAST_WORDS
         self.first_round_delivered = first_round_delivered
         graph = topology.graph
         n = graph.num_vertices
@@ -450,7 +455,6 @@ def announce_round(
     engine: BatchEngine,
     topology: LiveTopology,
     joined: Sequence[int],
-    words_per_message: int = 1,
 ) -> int:
     """The shared "joiners announce and halt" round of EN/LS.
 
@@ -483,11 +487,7 @@ def announce_round(
             if w not in joined_set:
                 carried_over += 1
     engine.account_sends(
-        messages,
-        words_per_message * messages,
-        words_per_message if messages else 0,
-        offender,
-        senders=senders,
+        messages, messages, 1 if messages else 0, offender, senders=senders
     )
     engine.halt(joined_set)
     causal = engine.causal
@@ -509,3 +509,51 @@ def announce_round(
             causal.message(v, announce_round_number, w, announce_round_number + 1)
     topology.remove(joined_set)
     return carried_over
+
+
+class BatchPhases:
+    """Shell of the columnar EN/LS phase executors.
+
+    Holds the run's :class:`BatchEngine` and :class:`LiveTopology` and the
+    announce messages in flight into the next phase.  A subclass's
+    ``run_phase`` floods (:meth:`_flood`), applies its decision rule to
+    the flood's summaries, and announces (:meth:`_announce`).
+    """
+
+    def __init__(
+        self,
+        graph: "Graph",
+        word_budget: int | None = None,
+        rounds: "RoundStream | None" = None,
+        causal: "CausalLog | None" = None,
+    ) -> None:
+        self.engine = BatchEngine(graph, word_budget, rounds=rounds, causal=causal)
+        self.topology = LiveTopology(graph)
+        self._carry = 0  # announce messages in flight into the next phase
+
+    @property
+    def stats(self):
+        """The accumulated :class:`NetworkStats` of the run so far."""
+        return self.engine.stats
+
+    def finish(self) -> None:
+        """Flush the last round to an attached round stream."""
+        self.engine.finish_rounds()
+
+    def _flood(self, radii, caps, policy, budget: int) -> ShiftedFlood:
+        """Rounds ``1 .. budget + 1`` of a phase: broadcasts and the merge."""
+        flood = ShiftedFlood(
+            self.engine,
+            self.topology,
+            radii,
+            caps,
+            policy,
+            first_round_delivered=self._carry,
+        )
+        flood.run(budget)
+        return flood
+
+    def _announce(self, joined: Dict[int, int]) -> Dict[int, int]:
+        """Round ``budget + 2``: the joiners announce and halt."""
+        self._carry = announce_round(self.engine, self.topology, list(joined))
+        return joined

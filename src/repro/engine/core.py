@@ -3,28 +3,25 @@
 :class:`BatchEngine` is the columnar counterpart of
 :class:`~repro.distributed.network.SyncNetwork`: it owns the round
 counter, the halt mask, the :class:`~repro.distributed.metrics.NetworkStats`
-accumulator, CONGEST budget enforcement and (optional) tracing — but it
-never materialises per-message objects.  Protocols report each round's
-traffic in aggregate (message count, word count, the peak per-directed-
-edge word load and the offending edge), which is all the simulator-level
-bookkeeping ever consumed.
+accumulator, CONGEST budget enforcement and the two optional telemetry
+subscribers — but it never materialises per-message objects.  Protocols
+report each round's traffic in aggregate (message count, word count, the
+peak per-directed-edge word load and the offending edge), which is all
+the simulator-level bookkeeping ever consumed.
 
 Equivalence contract (pinned by ``tests/engine``): for every ported
-protocol, the engine's stats, round counts, halt rounds and — with a
-tracer attached — the full event stream are bit-identical to a
-:class:`SyncNetwork` run of the reference node algorithms.  In
-particular a ``word_budget`` violation raises
+protocol, the engine's stats, round counts, round streams and causal
+logs are bit-identical to a :class:`SyncNetwork` run of the reference
+node algorithms.  In particular a ``word_budget`` violation raises
 :class:`~repro.errors.CongestViolation` in the *exact* round (and with
 the exact offending edge) the reference engine would report.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
-from ..distributed.tracing import TraceRecorder
 from ..errors import CongestViolation
 from ..graphs.graph import Graph
 
@@ -45,9 +42,6 @@ class BatchEngine:
     word_budget:
         Per-directed-edge, per-round word limit (CONGEST mode), or
         ``None`` for the LOCAL model (unbounded but measured).
-    tracer:
-        Optional :class:`TraceRecorder`; when attached, protocols emit
-        the same send/halt events the reference engine would.
     rounds:
         Optional :class:`~repro.telemetry.rounds.RoundStream`; when
         attached, the engine emits one per-round metrics row keyed
@@ -67,13 +61,11 @@ class BatchEngine:
         self,
         graph: Graph,
         word_budget: int | None = None,
-        tracer: TraceRecorder | None = None,
         rounds: "RoundStream | None" = None,
         causal: "CausalLog | None" = None,
     ) -> None:
         self.graph = graph
         self.word_budget = word_budget
-        self.tracer = tracer
         self.rounds = rounds
         self.causal = causal
         self.stats = NetworkStats()
@@ -134,44 +126,19 @@ class BatchEngine:
     # Halting
     # ------------------------------------------------------------------
     def halt(self, vertices: Iterable[int]) -> None:
-        """Mark ``vertices`` halted; emits trace events in ascending order."""
-        tracer, rounds, causal = self.tracer, self.rounds, self.causal
-        if tracer is None and rounds is None and causal is None:
+        """Mark ``vertices`` halted; logs causal halts in ascending order."""
+        rounds, causal = self.rounds, self.causal
+        if rounds is None and causal is None:
             for v in vertices:
                 self.halted[v] = 1
             return
         newly = 0
-        ordered = (
-            sorted(vertices)
-            if tracer is not None or causal is not None
-            else vertices
-        )
-        for v in ordered:
-            first = not self.halted[v]
-            if first:
+        for v in sorted(vertices) if causal is not None else vertices:
+            if not self.halted[v]:
                 newly += 1
+                if causal is not None:
+                    causal.halt(v, self.round)
             self.halted[v] = 1
-            if tracer is not None:
-                tracer.on_halt(v, self.round)
-            if causal is not None and first:
-                causal.halt(v, self.round)
         if rounds is not None:
             self.num_live -= newly
             rounds.note_halts(newly)
-
-    def is_halted(self, v: int) -> bool:
-        """Whether vertex ``v`` has halted."""
-        return bool(self.halted[v])
-
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
-    def trace_broadcast(
-        self, sender: int, receivers: Sequence[int], payload, words: int
-    ) -> None:
-        """Emit one send event per receiver (no-op without a tracer)."""
-        tracer = self.tracer
-        if tracer is None:
-            return
-        for receiver in receivers:
-            tracer.on_send(Message(sender, receiver, payload, self.round, words))

@@ -6,9 +6,9 @@
 (``B_t`` broadcast rounds + the decision merge round), then the shared
 announce round.  The phase *control* plane — schedule, radii, budgets,
 truncation bookkeeping — stays in :func:`repro.core.distributed_en.decompose_distributed`,
-which drives either this class or the reference
-:class:`~repro.distributed.network.SyncNetwork` through the same loop,
-selected by its ``backend=`` parameter.
+whose phase loop (:meth:`repro.distributed.phases.DriverRun.run_phases`) drives
+either this class or the reference node algorithms through the same
+``run_phase`` call, selected by its ``backend=`` parameter.
 
 Equivalence contract (``tests/engine/test_en_equivalence.py``): for any
 fixed ``(graph, seed, mode, schedule)`` both backends produce the same
@@ -24,8 +24,7 @@ import math
 from typing import TYPE_CHECKING, Dict, Mapping
 
 from ..graphs.graph import Graph
-from .broadcast import LiveTopology, ShiftedFlood, announce_round
-from .core import BatchEngine
+from .broadcast import BatchPhases
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.causality import CausalLog
@@ -34,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BatchENPhases"]
 
 
-class BatchENPhases:
+class BatchENPhases(BatchPhases):
     """Columnar phase executor for the distributed EN protocol."""
 
     def __init__(
@@ -45,35 +44,20 @@ class BatchENPhases:
         rounds: "RoundStream | None" = None,
         causal: "CausalLog | None" = None,
     ) -> None:
-        self.engine = BatchEngine(graph, word_budget, rounds=rounds, causal=causal)
-        self.topology = LiveTopology(graph)
+        super().__init__(graph, word_budget, rounds, causal)
         self._policy = "full" if mode == "full" else 2
-        self._carry = 0  # announce messages in flight into the next phase
-
-    @property
-    def stats(self):
-        """The accumulated :class:`NetworkStats` of the run so far."""
-        return self.engine.stats
 
     def run_phase(
-        self, phase: int, beta: float, budget: int, radii: Mapping[int, float]
+        self, phase: int, budget: int, radii: Mapping[int, float]
     ) -> Dict[int, int]:
         """Run one phase (``budget + 2`` rounds); returns ``joiner -> center``.
 
         ``radii`` are the driver's per-vertex draws for this phase — the
         same ``Exp(beta)`` values the reference nodes derive from the
-        shared streams (``beta`` itself is therefore not re-used here).
+        shared streams.
         """
         caps = {v: math.floor(r) for v, r in radii.items()}
-        flood = ShiftedFlood(
-            self.engine,
-            self.topology,
-            radii,
-            caps,
-            self._policy,
-            first_round_delivered=self._carry,
-        )
-        flood.run(budget)
+        flood = self._flood(radii, caps, self._policy, budget)
         joined: Dict[int, int] = {}
         best_value, second_value = flood.best_value, flood.second_value
         best_origin, num_entries = flood.best_origin, flood.num_entries
@@ -81,9 +65,4 @@ class BatchENPhases:
             second = second_value[v] if num_entries[v] > 1 else 0.0
             if best_value[v] - second > 1.0:
                 joined[v] = best_origin[v]
-        self._carry = announce_round(self.engine, self.topology, list(joined))
-        return joined
-
-    def finish(self) -> None:
-        """Flush the last round to an attached round stream."""
-        self.engine.finish_rounds()
+        return self._announce(joined)

@@ -1,8 +1,8 @@
 """Batch-engine port of the distributed Linial–Saks protocol.
 
 Same split as :mod:`repro.engine.en`: the phase control plane stays in
-:func:`repro.baselines.distributed_ls.decompose_distributed` (which
-selects this executor with ``backend="batch"``); each phase's data plane
+:func:`repro.baselines.distributed_ls.decompose_distributed`, whose phase
+loop selects this executor with ``backend="batch"``; each phase's data plane
 is one full-forwarding :class:`~repro.engine.broadcast.ShiftedFlood`
 epoch over integer radii, followed by the shared announce round.
 
@@ -17,59 +17,25 @@ LS-specific wrinkles, both carried by the flood core's summaries:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import Dict, Mapping
 
-from ..graphs.graph import Graph
-from .broadcast import LiveTopology, ShiftedFlood, announce_round
-from .core import BatchEngine
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..telemetry.causality import CausalLog
-    from ..telemetry.rounds import RoundStream
+from .broadcast import BatchPhases
 
 __all__ = ["BatchLSPhases"]
 
 
-class BatchLSPhases:
+class BatchLSPhases(BatchPhases):
     """Columnar phase executor for the distributed LS protocol."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        word_budget: int | None = None,
-        rounds: "RoundStream | None" = None,
-        causal: "CausalLog | None" = None,
-    ) -> None:
-        self.engine = BatchEngine(graph, word_budget, rounds=rounds, causal=causal)
-        self.topology = LiveTopology(graph)
-        self._carry = 0
-
-    @property
-    def stats(self):
-        """The accumulated :class:`NetworkStats` of the run so far."""
-        return self.engine.stats
 
     def run_phase(
         self, phase: int, budget: int, radii: Mapping[int, int]
     ) -> Dict[int, int]:
         """Run one phase (``budget + 2`` rounds); returns ``joiner -> center``."""
-        flood = ShiftedFlood(
-            self.engine,
-            self.topology,
-            radii,
-            radii,  # integer radii are their own broadcast caps
-            "full",
-            first_round_delivered=self._carry,
-        )
-        flood.run(budget)
+        # Integer radii are their own broadcast caps.
+        flood = self._flood(radii, radii, "full", budget)
         joined: Dict[int, int] = {}
         min_origin, min_shifted = flood.min_origin, flood.min_shifted
         for v in self.topology.live_list:
             if min_shifted[v] > 0:  # winner's value arrived with distance < radius
                 joined[v] = min_origin[v]
-        self._carry = announce_round(self.engine, self.topology, list(joined))
-        return joined
-
-    def finish(self) -> None:
-        """Flush the last round to an attached round stream."""
-        self.engine.finish_rounds()
+        return self._announce(joined)

@@ -1,27 +1,19 @@
-"""Vectorised per-round primitives over CSR neighbourhoods.
+"""Vectorised neighbour reductions over CSR neighbourhoods.
 
 Paper context: §1.1 — in the synchronous model a round is "receive from
-all neighbours, compute, send to all neighbours".  For protocols whose
-per-node state is a handful of scalars, the receive-and-compute half of a
-round is therefore a *neighbour reduction*: every vertex combines one
-value from each (active) neighbour.  This module provides those
-reductions as bulk operations over the flat CSR buffers of
-:class:`~repro.graphs.graph.Graph`, in both a pure-Python and a numpy
-form (see :mod:`repro.engine._backend`):
+all neighbours, compute, send to all neighbours", so per-vertex state
+that depends on the neighbourhood is a *neighbour reduction* over the
+flat CSR buffers of :class:`~repro.graphs.graph.Graph`.  The batch
+engine needs one: the live degree of every vertex in the current phase
+(:func:`live_degrees`, the broadcast fan-out), built on the dense
+receiver-side sum :func:`gather_sum`.  Both come in a pure-Python and a
+numpy form (see :mod:`repro.engine._backend`).
 
-* :func:`gather_min` / :func:`gather_max` / :func:`gather_sum` /
-  :func:`gather_any` — dense receiver-side reductions over all vertices;
-* :func:`scatter_min` — sparse sender-side reduction, for rounds where
-  only a frontier of vertices transmits (delta-driven protocols such as
-  leader election);
-* :func:`masked_fill` — masked scatter into a flat state array (halt-mask
-  and join-mask maintenance).
-
-Determinism contract: both backends return bit-identical results.  All
-reductions here are order-independent (min/max/any, and integer sums);
-**floating-point sums are deliberately excluded from the numpy path** —
-:func:`gather_sum` falls back to Python for float arrays so accumulation
-order never depends on the backend.
+Determinism contract: both backends return bit-identical results.
+Integer sums are order-independent; **floating-point sums are
+deliberately excluded from the numpy path** — :func:`gather_sum` falls
+back to Python for float arrays so accumulation order never depends on
+the backend.
 """
 
 from __future__ import annotations
@@ -31,17 +23,8 @@ from typing import Sequence
 
 from . import _backend
 from ._backend import WIDE_THRESHOLD, np
-from ..graphs._kernel import gather_frontier_rows
 
-__all__ = [
-    "gather_min",
-    "gather_max",
-    "gather_sum",
-    "gather_any",
-    "scatter_min",
-    "masked_fill",
-    "live_degrees",
-]
+__all__ = ["gather_sum", "live_degrees"]
 
 
 def _np_values(values, dtype=None):
@@ -51,76 +34,6 @@ def _np_values(values, dtype=None):
     if isinstance(values, array):
         return np.frombuffer(values, dtype=dtype or values.typecode)
     return np.asarray(values, dtype=dtype)
-
-
-def _gather_extreme(graph, values, default, source_mask, *, biggest: bool):
-    """Shared min/max implementation (see :func:`gather_min`)."""
-    n = graph.num_vertices
-    indptr, indices = graph.csr()
-    if _backend.enabled() and len(indices) >= WIDE_THRESHOLD:
-        np_indptr, np_indices = graph._numpy_csr()
-        vals = _np_values(values)
-        gathered = vals[np_indices]
-        if gathered.dtype.kind in ("u", "b", "i") and gathered.dtype.itemsize < 8:
-            # Widen narrow integer inputs: the out-of-range sentinel below
-            # is `min - 1` / `max + 1`, which would wrap around at the
-            # native dtype's boundary and win reductions it must lose
-            # (uint8 0 - 1 -> 255, int8 -128 - 1 -> 127, ...).
-            gathered = gathered.astype(np.int64)
-        row_lengths = np_indptr[1:] - np_indptr[:-1]
-        counts = row_lengths
-        # Sentinel strictly outside the value range: it can never win the
-        # reduction, so it serves both as the masked-out replacement and
-        # as a one-element pad.  Padding (instead of clamping the segment
-        # starts) keeps every reduceat start index valid when trailing
-        # vertices have empty rows *without* shifting the previous row's
-        # segment boundary; rows with no contributing entries are fixed
-        # up to `default` below.
-        sentinel = (gathered.min() - 1) if biggest else (gathered.max() + 1)
-        if source_mask is not None:
-            mask = _np_values(source_mask, dtype=np.uint8)[np_indices] != 0
-            gathered = np.where(mask, gathered, sentinel)
-            counts = np.add.reduceat(
-                np.append(mask.astype(np.int64), 0), np_indptr[:-1]
-            )
-            counts[row_lengths == 0] = 0
-        reduce = np.maximum.reduceat if biggest else np.minimum.reduceat
-        out = reduce(np.append(gathered, sentinel), np_indptr[:-1])
-        result = out.tolist()
-        empty = counts == 0
-        if empty.any():
-            for v in np.flatnonzero(empty).tolist():
-                result[v] = default
-        return result
-    result = [default] * n
-    for v in range(n):
-        best = None
-        for position in range(indptr[v], indptr[v + 1]):
-            u = indices[position]
-            if source_mask is not None and not source_mask[u]:
-                continue
-            value = values[u]
-            if best is None or (value > best if biggest else value < best):
-                best = value
-        if best is not None:
-            result[v] = best
-    return result
-
-
-def gather_min(graph, values: Sequence, default, source_mask=None) -> list:
-    """Per-vertex minimum of neighbour values.
-
-    ``result[v] = min(values[u] for u in N(v) if source_mask[u])``, or
-    ``default`` when no (unmasked) neighbour exists.  ``source_mask`` is an
-    optional 0/1 byte mask selecting which neighbours count — the "active
-    senders" of the round.
-    """
-    return _gather_extreme(graph, values, default, source_mask, biggest=False)
-
-
-def gather_max(graph, values: Sequence, default, source_mask=None) -> list:
-    """Per-vertex maximum of neighbour values (see :func:`gather_min`)."""
-    return _gather_extreme(graph, values, default, source_mask, biggest=True)
 
 
 def gather_sum(graph, values: Sequence, source_mask=None) -> list:
@@ -153,7 +66,7 @@ def gather_sum(graph, values: Sequence, source_mask=None) -> list:
         counts = np_indptr[1:] - np_indptr[:-1]
         # Pad with the additive identity so trailing empty rows keep all
         # reduceat start indices valid without clamping (which would
-        # steal the previous row's final element — see _gather_extreme).
+        # steal the previous row's final element).
         out = np.add.reduceat(np.append(gathered, 0), np_indptr[:-1])
         out[counts == 0] = 0
         return out.tolist()
@@ -167,75 +80,6 @@ def gather_sum(graph, values: Sequence, source_mask=None) -> list:
                 total += values[u]
         result[v] = total
     return result
-
-
-def gather_any(graph, flags, source_mask=None) -> bytearray:
-    """Per-vertex OR of neighbour flags, as a fresh 0/1 byte mask."""
-    counts = gather_sum(graph, _as_int_flags(flags), source_mask)
-    return bytearray(1 if c else 0 for c in counts)
-
-
-def _as_int_flags(flags):
-    if isinstance(flags, (bytearray, bytes)):
-        return flags
-    return bytearray(1 if f else 0 for f in flags)
-
-
-def scatter_min(graph, senders: Sequence[int], values: Sequence, out) -> None:
-    """Sender-side minimum: ``out[w] = min(out[w], values[u])`` for each
-    ``u`` in ``senders`` and each ``w`` adjacent to ``u``.
-
-    ``out`` is mutated in place.  This is the sparse dual of
-    :func:`gather_min`: when only a small frontier transmits, touching
-    ``sum(deg(u) for u in senders)`` edges beats the dense ``O(m)``
-    gather.  Wide frontiers take the vectorised path when numpy is
-    available; results are bit-identical either way (min is
-    order-independent).
-    """
-    indptr, indices = graph.csr()
-    if (
-        _backend.enabled()
-        and len(senders) >= WIDE_THRESHOLD
-        # The vectorised path writes through a zero-copy view, which only
-        # exists for buffer-backed outputs — a plain list must take the
-        # Python loop or the caller's buffer would never see the writes.
-        and isinstance(out, (array, bytearray))
-    ):
-        np_indptr, np_indices = graph._numpy_csr()
-        frontier = np.asarray(senders, dtype=np_indptr.dtype)
-        targets, counts = gather_frontier_rows(np_indptr, np_indices, frontier)
-        if targets is None:
-            return
-        vals = _np_values(values)[frontier]
-        np_out = _np_values(out)
-        np.minimum.at(np_out, targets, np.repeat(vals, counts))
-        return
-    for u in senders:
-        value = values[u]
-        for position in range(indptr[u], indptr[u + 1]):
-            w = indices[position]
-            if value < out[w]:
-                out[w] = value
-    return
-
-
-def masked_fill(out, mask, value) -> None:
-    """Masked scatter: ``out[v] = value`` wherever ``mask[v]`` is set.
-
-    The halt/join-mask maintenance primitive: one pass, in place.
-    """
-    if (
-        _backend.enabled()
-        and len(out) >= WIDE_THRESHOLD
-        and isinstance(out, (array, bytearray))  # see scatter_min
-    ):
-        np_out = _np_values(out)
-        np_mask = _np_values(mask, dtype=np.uint8)
-        np_out[np_mask != 0] = value
-        return
-    for v in range(len(out)):
-        if mask[v]:
-            out[v] = value
 
 
 def live_degrees(graph, live) -> array:

@@ -494,7 +494,8 @@ def _adapt_robustness(graph: Graph, trial: TrialSpec) -> Record:
         )
         # The one-shot competition needs every vertex to decide, so
         # robustness grids give MPX drop faults only (see the driver
-        # docstring); crash plans would trip the assignment assertion.
+        # docstring); a crash through the decision round raises
+        # SimulationError.
         run = distributed_mpx.partition_distributed(
             graph, backend="async", delivery=delivery, faults=fault_arg,
             telemetry=tel, **kwargs,

@@ -45,14 +45,14 @@ class ServeClient:
         if not line:
             raise ProtocolError(f"server closed the connection during {op!r}")
         response = decode_line(line)
+        if not response.get("ok"):
+            raise ProtocolError(
+                f"server rejected {op!r}: {response.get('error', 'unknown error')}"
+            )
         if response.get("id") != request_id:
             raise ProtocolError(
                 f"response id {response.get('id')!r} does not match "
                 f"request id {request_id}"
-            )
-        if not response.get("ok"):
-            raise ProtocolError(
-                f"server rejected {op!r}: {response.get('error', 'unknown error')}"
             )
         return response
 

@@ -53,6 +53,11 @@ from .workers import worker_answer, worker_init
 
 __all__ = ["ServerConfig", "OracleServer", "ServerThread", "run_server", "default_workers"]
 
+#: Longest accepted request line, newline included (asyncio's default
+#: stream limit, about 6k pairs).  A longer line gets one ``ok: false``
+#: response and the connection is closed.
+MAX_LINE_BYTES = 2**16
+
 
 def default_workers() -> int:
     """Worker-pool size from ``REPRO_SERVE_WORKERS`` (default 0: in-process)."""
@@ -143,7 +148,8 @@ class OracleServer:
             )
         self._stop_event = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
+            self._on_connection, self.config.host, self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
@@ -202,7 +208,20 @@ class OracleServer:
         stop_after = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran the stream limit; the rest of it
+                    # cannot be framed, so answer once and hang up.
+                    self.counters["requests"] += 1
+                    self.counters["errors"] += 1
+                    writer.write(encode_message({
+                        "id": None,
+                        "ok": False,
+                        "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    }))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():

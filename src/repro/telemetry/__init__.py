@@ -23,9 +23,6 @@ timings and the campaign runtime's per-trial accounting:
   bounded append-only JSONL file
   (:class:`~repro.telemetry.sink.JsonlSink`) that is schema-versioned
   and torn-tail tolerant like the campaign journal;
-* the legacy :class:`~repro.telemetry.events.EventRecorder` (né
-  ``TraceRecorder``) remains available as a per-message compatibility
-  subscriber of the same engines;
 * **histograms** (:class:`~repro.telemetry.hist.LogHistogram`):
   mergeable log-bucketed latency distributions with deterministic
   boundaries — round streams feed per-round wall time into them and the
@@ -67,7 +64,6 @@ from .core import (
     resolve,
     shutdown,
 )
-from .events import EventRecorder, TraceEvent
 from .critical import critical_path, lag_timeline, node_lag, slack_stats
 from .export import chrome_trace, validate_chrome_trace
 from .hist import HIST_SCHEMA, LogHistogram
@@ -84,7 +80,6 @@ from .sink import TELEMETRY_VERSION, JsonlSink, read_trace
 
 __all__ = [
     "CausalLog",
-    "EventRecorder",
     "HIST_SCHEMA",
     "JsonlSink",
     "LogHistogram",
@@ -95,7 +90,6 @@ __all__ = [
     "Span",
     "TELEMETRY_VERSION",
     "Telemetry",
-    "TraceEvent",
     "causal_records",
     "causal_streams",
     "chrome_trace",

@@ -1,7 +1,7 @@
 """Telemetry core: hierarchical spans, the collector, opt-in resolution.
 
 A :class:`Telemetry` object is one trace: a bounded in-memory collector
-of span/round/event records, optionally mirrored to a
+of span/round/causal records, optionally mirrored to a
 :class:`~repro.telemetry.sink.JsonlSink`.  Spans nest lexically::
 
     with telemetry.span("oracle.build", n=n) as build:
@@ -30,16 +30,12 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import TYPE_CHECKING
 
 from ..errors import ParameterError
 from .causality import CausalLog
 from .hist import LogHistogram
 from .rounds import RoundStream
 from .sink import JsonlSink
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .events import EventRecorder, TraceEvent
 
 __all__ = [
     "Span",
@@ -157,7 +153,6 @@ class Telemetry:
         self.spans: list[dict] = []  # closed-span records, close order
         self.rounds: list[dict] = []  # round records, emit order
         self.causal: list[dict] = []  # causal edge/halt records, emit order
-        self.events = 0  # mirrored EventRecorder events (count only)
         self.hists: dict[str, LogHistogram] = {}  # named, creation order
         self.truncated = False
         self.epoch = perf_counter()  # span starts are offsets from here
@@ -214,7 +209,7 @@ class Telemetry:
         self._keep(self.spans, record)
 
     # ------------------------------------------------------------------
-    # Round streams and events
+    # Round streams, causal logs and histograms
     # ------------------------------------------------------------------
     def round_stream(self, stream: str, **attrs) -> RoundStream:
         """A per-round metrics stream feeding this trace (see rounds.py)."""
@@ -236,26 +231,6 @@ class Telemetry:
             hist = LogHistogram(**kwargs)
             self.hists[name] = hist
         return hist
-
-    def event_recorder(self, **kwargs) -> "EventRecorder":
-        """An :class:`EventRecorder` mirroring its events into this trace."""
-        from .events import EventRecorder
-
-        return EventRecorder(telemetry=self, **kwargs)
-
-    def record_event(self, event: "TraceEvent") -> None:
-        """Mirror one kept tracer event to the sink (count in-memory)."""
-        self.events += 1
-        if self.sink is not None:
-            self.sink.write(
-                {
-                    "kind": "event",
-                    "round": event.round,
-                    "event": event.kind,
-                    "node": event.node,
-                    "peer": event.peer,
-                }
-            )
 
     def _keep(self, collector: list[dict], record: dict) -> None:
         if len(collector) >= self.limit:
@@ -290,7 +265,6 @@ class Telemetry:
             "sink": str(self.sink.path) if self.sink is not None else None,
             "spans": summarize_spans(self.spans),
             "rounds": len(self.rounds),
-            "events": self.events,
             "hists": {name: hist.summary() for name, hist in self.hists.items()},
             "causal": {
                 "records": len(self.causal),
@@ -328,7 +302,6 @@ class Telemetry:
                     "kind": "summary",
                     "spans": len(self.spans),
                     "rounds": len(self.rounds),
-                    "events": self.events,
                     "hists": len(self.hists),
                     "causal": len(self.causal),
                     "kinds": dict(sorted(self.sink.kind_counts.items())),

@@ -20,8 +20,6 @@ is **lossless**: every input record lands in the output somewhere.
   delayed/dropped/reordered extras) chart directly; the stream's
   non-numeric attributes (``backend``, ``mode``, ...) are emitted once
   as an instant event per stream.
-* **event** records (the per-message recorder) become instant
-  (``"ph": "i"``) events on the ``events`` process at their round tick.
 * **causal** records (:mod:`~repro.telemetry.causality`) become flow
   events on the ``rounds`` process: each message edge is one
   ``"s"``/``"f"`` pair (flow start at the send round's tick, flow end —
@@ -54,9 +52,8 @@ ROUND_TICK_US = 1000
 # One Chrome "process" per record family keeps the Perfetto UI grouped.
 _PID_SPANS = 1
 _PID_ROUNDS = 2
-_PID_EVENTS = 3
 
-_PROCESS_NAMES = {_PID_SPANS: "spans", _PID_ROUNDS: "rounds", _PID_EVENTS: "events"}
+_PROCESS_NAMES = {_PID_SPANS: "spans", _PID_ROUNDS: "rounds"}
 
 #: Round-record columns that chart as counter series.
 _NON_SERIES_ROUND_KEYS = frozenset(("kind", "stream", "round"))
@@ -168,24 +165,6 @@ def chrome_trace(records: Iterable[dict]) -> dict:
                     "pid": _PID_ROUNDS,
                     "tid": tid,
                     "args": series,
-                }
-            )
-        elif kind == "event":
-            used_pids.add(_PID_EVENTS)
-            events.append(
-                {
-                    "name": str(record.get("event", "event")),
-                    "cat": "event",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": int(record.get("round", 0)) * ROUND_TICK_US,
-                    "pid": _PID_EVENTS,
-                    "tid": 1,
-                    "args": {
-                        key: record[key]
-                        for key in ("node", "peer", "round")
-                        if record.get(key) is not None
-                    },
                 }
             )
         elif kind == "causal":

@@ -11,7 +11,7 @@ lines instead of failing.  Two deliberate differences:
 * **bounded** — after ``limit`` records the sink stops writing and
   :meth:`JsonlSink.close` appends a single ``{"kind": "truncated"}``
   marker with the drop count, so a trace file is always a *prefix* of
-  the run (mirroring :class:`~repro.telemetry.events.EventRecorder`).
+  the run.
 
 The file handle is opened lazily in append mode on the first write, so
 a configured-but-silent process never creates an empty file, and forked
@@ -33,7 +33,7 @@ __all__ = ["TELEMETRY_VERSION", "JsonlSink", "read_trace"]
 #: Bumped when the record schema changes incompatibly.
 TELEMETRY_VERSION = "en16.telemetry.v1"
 
-#: Default record cap per sink (spans + rounds + events combined).
+#: Default record cap per sink (all record kinds combined).
 DEFAULT_SINK_LIMIT = 250_000
 
 

@@ -207,14 +207,18 @@ def test_lamport_order_invariant_under_delivery_permutation(
     assert permuted == reference
 
 
-def test_fifo_trace_events_identical_to_sync():
-    from repro.distributed import TraceRecorder
-
+def test_fifo_causal_log_identical_to_sync():
     graph = erdos_renyi(24, 0.2, seed=9)
-    traces = []
+    logs = []
     for engine in (SyncNetwork, AsyncNetwork):
-        tracer = TraceRecorder()
-        net = engine(graph, lambda v: FloodNode(v, 0), seed=4, tracer=tracer)
+        telemetry = Telemetry()
+        net = engine(
+            graph,
+            lambda v: FloodNode(v, 0),
+            seed=4,
+            causal=telemetry.causal_log("flood.causal"),
+        )
         net.run_until_quiet()
-        traces.append(tracer.events)
-    assert traces[0] == traces[1]
+        logs.append(telemetry.causal)
+    assert logs[0]  # the flood actually recorded provenance
+    assert logs[0] == logs[1]

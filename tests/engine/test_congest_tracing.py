@@ -1,16 +1,16 @@
-"""CONGEST enforcement and tracing, on both engines (satellite coverage).
+"""CONGEST enforcement and causal tracing, across engines (satellite coverage).
 
-Two simulator-level guarantees, pinned on :class:`SyncNetwork` *and* on
-the batch engine:
+Two simulator-level guarantees:
 
 * a ``word_budget`` violation raises :class:`CongestViolation` in the
   **exact** round the offending flush happens — not a round late, not at
-  the end of the run — and the two engines report the identical round
+  the end of the run — and :class:`SyncNetwork`, the FIFO
+  :class:`AsyncNetwork` and the batch engine report the identical round
   (in fact the identical message, offending edge included);
-* an attached :class:`TraceRecorder` sees a consistent event stream:
-  send events match ``messages_sent`` one-for-one, rounds are monotone
-  within the run's bounds, halt events match the halted set — and the
-  batch engine emits the *same* events as the reference.
+* an attached causal log sees a consistent stream: delivered-message
+  counts match ``messages_delivered`` one-for-one, every edge goes
+  forward in time within the run's bounds, halt rows match the halted
+  set — and the FIFO async engine logs the *same* rows as the reference.
 """
 
 from __future__ import annotations
@@ -21,19 +21,19 @@ import pytest
 
 from repro.core.distributed_en import decompose_distributed
 from repro.distributed import (
+    AsyncNetwork,
+    BFSTreeNode,
     Context,
+    ConvergecastSumNode,
     FloodNode,
     LeaderElectionNode,
     NodeAlgorithm,
     SyncNetwork,
-    TraceRecorder,
     run_bfs_tree,
-    ConvergecastSumNode,
-    BFSTreeNode,
 )
-from repro.engine import bfs_tree, convergecast_sum, flood, leader_election
 from repro.errors import CongestViolation
 from repro.graphs import erdos_renyi, path_graph, random_connected, star_graph
+from repro.telemetry import Telemetry
 
 
 def _violation_message(fn) -> str | None:
@@ -95,64 +95,63 @@ class TestExactViolationRound:
     def test_flood_violates_at_round_zero_on_both_engines(self):
         graph = star_graph(5)
 
-        def sync_run():
-            network = SyncNetwork(graph, lambda v: FloodNode(v, 0), word_budget=1)
+        def run(engine):
+            network = engine(graph, lambda v: FloodNode(v, 0), word_budget=1)
             network.run_until_quiet(10)
 
-        sync_message = _violation_message(sync_run)
-        batch_message = _violation_message(lambda: flood(graph, 0, word_budget=1))
-        assert sync_message == batch_message
+        sync_message = _violation_message(lambda: run(SyncNetwork))
+        async_message = _violation_message(lambda: run(AsyncNetwork))
+        assert sync_message == async_message
         assert _violation_round(sync_message) == 0
 
     def test_leader_election_within_budget_runs_clean(self):
         graph = random_connected(30, 0.08, seed=2)
-        result = leader_election(graph, word_budget=2)  # exactly one 2-word msg/edge/round
-        assert set(result.leader.values()) == {0}
+        for engine in (SyncNetwork, AsyncNetwork):
+            # exactly one 2-word message per edge per round
+            network = engine(graph, lambda v: LeaderElectionNode(v), word_budget=2)
+            network.run_until_quiet(graph.num_vertices + 2)
+            assert {network.algorithm(v).leader for v in graph.vertices()} == {0}
+            assert network.stats.max_words_per_edge_round == 2
 
 
-def _sync_trace(graph, factory, max_rounds):
-    tracer = TraceRecorder()
-    network = SyncNetwork(graph, factory, tracer=tracer)
+def _causal_run(engine, graph, factory, max_rounds, telemetry=None):
+    telemetry = telemetry if telemetry is not None else Telemetry()
+    network = engine(graph, factory, causal=telemetry.causal_log("t.causal"))
     network.run_until_quiet(max_rounds)
-    return tracer, network
+    return telemetry, network
 
 
 class TestTraceInvariants:
     GRAPH = random_connected(36, 0.06, seed=4)
 
-    def _check_invariants(self, tracer, stats, rounds):
-        sends = list(tracer.sends())
-        assert len(sends) == stats.messages_sent
-        assert all(0 <= event.round <= rounds for event in tracer.events)
-        grouped = tracer.rounds()
-        assert sum(len(events) for events in grouped.values()) == len(tracer.events)
+    def _traces(self, factory, max_rounds):
+        """The causal rows of the sync reference and the FIFO async engine,
+        checked against each other and against the reference's stats."""
+        reference, network = _causal_run(SyncNetwork, self.GRAPH, factory, max_rounds)
+        replica, _ = _causal_run(AsyncNetwork, self.GRAPH, factory, max_rounds)
+        assert replica.causal == reference.causal
+        stats = network.stats
+        messages = [row for row in reference.causal if row["edge"] == "msg"]
+        assert sum(row["count"] for row in messages) == stats.messages_delivered
+        assert all(
+            0 <= row["send_round"] < row["recv_round"] <= stats.rounds
+            for row in messages
+        )
+        halts = sorted(row["node"] for row in reference.causal if row["edge"] == "halt")
+        assert halts == [v for v in self.GRAPH.vertices() if network.halted(v)]
+        return reference.causal
 
     def test_flood_trace_identical(self):
-        reference, network = _sync_trace(
-            self.GRAPH, lambda v: FloodNode(v, 0), self.GRAPH.num_vertices + 1
-        )
-        tracer = TraceRecorder()
-        result = flood(self.GRAPH, 0, tracer=tracer)
-        assert tracer.events == reference.events
-        self._check_invariants(tracer, result.stats, result.rounds)
+        rows = self._traces(lambda v: FloodNode(v, 0), self.GRAPH.num_vertices + 1)
+        # the token reaches every vertex of the connected graph along logged edges
+        receivers = {row["recv"] for row in rows if row["edge"] == "msg"}
+        assert receivers >= set(self.GRAPH.vertices()) - {0}
 
     def test_bfs_tree_trace_identical(self):
-        reference, network = _sync_trace(
-            self.GRAPH, lambda v: BFSTreeNode(v, 0), self.GRAPH.num_vertices + 2
-        )
-        tracer = TraceRecorder()
-        result = bfs_tree(self.GRAPH, 0, tracer=tracer)
-        assert tracer.events == reference.events
-        self._check_invariants(tracer, result.stats, result.rounds)
+        self._traces(lambda v: BFSTreeNode(v, 0), self.GRAPH.num_vertices + 2)
 
     def test_leader_trace_identical(self):
-        reference, network = _sync_trace(
-            self.GRAPH, lambda v: LeaderElectionNode(v), self.GRAPH.num_vertices + 2
-        )
-        tracer = TraceRecorder()
-        result = leader_election(self.GRAPH, tracer=tracer)
-        assert tracer.events == reference.events
-        self._check_invariants(tracer, result.stats, result.rounds)
+        self._traces(lambda v: LeaderElectionNode(v), self.GRAPH.num_vertices + 2)
 
     def test_convergecast_trace_identical_including_halts(self):
         graph = self.GRAPH
@@ -162,8 +161,7 @@ class TestTraceInvariants:
         for v, parent in parents.items():
             if parent >= 0:
                 children[parent].append(v)
-        reference, network = _sync_trace(
-            graph,
+        rows = self._traces(
             lambda v: ConvergecastSumNode(
                 v,
                 values.get(v, 0.0) if v in parents else 0.0,
@@ -172,18 +170,22 @@ class TestTraceInvariants:
             ),
             2 * graph.num_vertices + 4,
         )
-        tracer = TraceRecorder()
-        result = convergecast_sum(graph, 0, values, tracer=tracer)
-        assert tracer.events == reference.events
-        halts = list(tracer.halts())
+        halts = [row["node"] for row in rows if row["edge"] == "halt"]
         # every tree vertex except the root halts, exactly once
-        assert sorted(event.node for event in halts) == sorted(
+        assert sorted(halts) == sorted(
             v for v, parent in parents.items() if parent >= 0
         )
-        self._check_invariants(tracer, result.stats, result.rounds)
 
     def test_trace_limit_respected_by_batch_engine(self):
-        tracer = TraceRecorder(limit=5)
-        flood(self.GRAPH, 0, tracer=tracer)
-        assert len(tracer.events) == 5
-        assert tracer.truncated
+        telemetry = Telemetry(limit=5)
+        traced = decompose_distributed(
+            self.GRAPH, k=3, seed=2, backend="batch", telemetry=telemetry
+        )
+        assert len(telemetry.causal) == 5
+        assert telemetry.truncated
+        untraced = decompose_distributed(self.GRAPH, k=3, seed=2, backend="batch")
+        assert traced.stats == untraced.stats
+        assert (
+            traced.decomposition.cluster_index_map()
+            == untraced.decomposition.cluster_index_map()
+        )

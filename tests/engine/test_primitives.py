@@ -1,6 +1,6 @@
 """Unit tests for the engine's neighbour-reduction primitives.
 
-Every primitive is checked against a brute-force reference and — when
+Both primitives are checked against a brute-force reference and — when
 numpy is available — pinned bit-identical between the vectorised and
 pure-Python backends (monkeypatching ``repro.graphs._kernel.USE_NUMPY``
 — the library's single backend switch — flips the dispatch in-process;
@@ -16,15 +16,7 @@ import pytest
 
 from repro.engine import _backend
 from repro.graphs import _kernel
-from repro.engine.primitives import (
-    gather_any,
-    gather_max,
-    gather_min,
-    gather_sum,
-    live_degrees,
-    masked_fill,
-    scatter_min,
-)
+from repro.engine.primitives import gather_sum, live_degrees
 from repro.graphs import Graph, gnp_fast, path_graph, star_graph, torus_graph
 
 def _trailing_isolated_graph() -> Graph:
@@ -47,7 +39,7 @@ GRAPHS = {
     "star": star_graph(7),
     "torus": torus_graph(5, 6),
     "gnp": gnp_fast(80, 0.06, seed=3),
-    "gnp-wide": gnp_fast(220, 0.04, seed=5),  # >64 senders: numpy scatter path
+    "gnp-wide": gnp_fast(220, 0.04, seed=5),
     "isolated": Graph(6, [(0, 1), (3, 4)]),
     "trailing-isolated": _trailing_isolated_graph(),
     "empty": Graph(4),
@@ -77,18 +69,6 @@ def _brute(graph, values, mask, op, default):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 @pytest.mark.parametrize("masked", [False, True])
 class TestGathers:
-    def test_gather_min_max(self, name, masked):
-        graph = GRAPHS[name]
-        n = graph.num_vertices
-        values = _values(n, seed=1)
-        mask = _mask(n, seed=2) if masked else None
-        assert gather_min(graph, values, 10**6, mask) == _brute(
-            graph, values, mask, min, 10**6
-        )
-        assert gather_max(graph, values, -1, mask) == _brute(
-            graph, values, mask, max, -1
-        )
-
     def test_gather_sum(self, name, masked):
         graph = GRAPHS[name]
         n = graph.num_vertices
@@ -96,60 +76,17 @@ class TestGathers:
         mask = _mask(n, seed=4) if masked else None
         assert gather_sum(graph, values, mask) == _brute(graph, values, mask, sum, 0)
 
-    def test_gather_any(self, name, masked):
+    def test_gather_sum_floats(self, name, masked):
+        # Float sums accumulate sequentially in CSR order on every backend,
+        # so they match the brute-force left fold exactly, and stay floats
+        # even on rows with no contributing neighbour.
         graph = GRAPHS[name]
         n = graph.num_vertices
-        flags = _mask(n, seed=5)
-        mask = _mask(n, seed=6) if masked else None
-        expected = bytearray(
-            1 if any(flags[u] for u in graph.neighbors(v) if mask is None or mask[u]) else 0
-            for v in graph.vertices()
-        )
-        assert gather_any(graph, flags, mask) == expected
-
-
-class TestScatterMin:
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_matches_dense_gather(self, name):
-        graph = GRAPHS[name]
-        n = graph.num_vertices
-        values = _values(n, seed=7)
-        sender_mask = _mask(n, seed=8)
-        senders = [v for v in range(n) if sender_mask[v]]
-        out = array("l", [10**6]) * n
-        scatter_min(graph, senders, values, out)
-        assert list(out) == gather_min(graph, values, 10**6, sender_mask)
-
-    def test_empty_senders(self):
-        graph = GRAPHS["torus"]
-        out = array("l", [5]) * graph.num_vertices
-        scatter_min(graph, [], _values(graph.num_vertices, 1), out)
-        assert set(out) == {5}
-
-
-class TestMaskedFill:
-    def test_fill(self):
-        out = array("l", range(100))
-        mask = _mask(100, seed=9)
-        masked_fill(out, mask, -7)
-        for v in range(100):
-            assert out[v] == (-7 if mask[v] else v)
-
-    def test_plain_list_output_is_mutated_in_place(self):
-        # Regression: the numpy path must not be taken for a plain list —
-        # np.asarray would copy it and the caller's buffer would stay
-        # untouched.
-        out = [0.0] * 100
-        masked_fill(out, bytearray(b"\x01") * 100, 5.0)
-        assert out == [5.0] * 100
-
-    def test_scatter_min_into_plain_list(self):
-        graph = GRAPHS["gnp-wide"]
-        n = graph.num_vertices
-        values = _values(n, seed=14)
-        out = [10**6] * n
-        scatter_min(graph, list(range(n)), values, out)
-        assert out == gather_min(graph, values, 10**6)
+        values = _values(n, seed=17, floats=True)
+        mask = _mask(n, seed=18) if masked else None
+        sums = gather_sum(graph, values, mask)
+        assert sums == _brute(graph, values, mask, sum, 0.0)
+        assert all(isinstance(total, float) for total in sums)
 
 
 class TestTrailingIsolatedRows:
@@ -163,46 +100,29 @@ class TestTrailingIsolatedRows:
         last_row_vertex = max(v for v in range(n) if graph.degree(v))
         mask = bytearray(n)
         mask[graph.neighbors(last_row_vertex)[-1]] = 1
-        assert gather_min(graph, values, 10**6, mask) == _brute(
-            graph, values, mask, min, 10**6
-        )
-        assert gather_max(graph, values, -1, mask) == _brute(
-            graph, values, mask, max, -1
-        )
         assert gather_sum(graph, values, mask) == _brute(graph, values, mask, sum, 0)
 
 
-class TestUnsignedBuffers:
-    """Narrow-dtype inputs must not wrap the out-of-range sentinel."""
+class TestNarrowBuffers:
+    """Narrow-dtype inputs must be widened before they are summed."""
 
-    def test_gather_extremes_on_signed_bytes_at_dtype_boundary(self):
-        graph = path_graph(70)
-        values = array("b", [0] * 70)
-        values[0] = -128  # int8 min: sentinel -129 would wrap to +127
-        mask = bytearray(b"\x01") * 70
-        mask[0] = 0
-        assert gather_max(graph, values, 0, mask) == _brute(
-            graph, values, mask, max, 0
-        )
-        values[0] = 127  # int8 max: sentinel +128 would wrap to -128
-        assert gather_min(graph, values, 0) == _brute(graph, values, None, min, 0)
-
-    def test_gather_extremes_on_bytearray_values(self):
+    def test_gather_sum_on_bytearray_values_does_not_wrap(self):
         graph = path_graph(70)  # wide enough for the numpy path
-        flags = bytearray(70)  # all zeros: min-1 would wrap to 255 in uint8
-        assert gather_max(graph, flags, 0) == [0] * 70
-        assert gather_min(graph, flags, 0) == [0] * 70
-        full = bytearray(b"\xff") * 70  # all 255: max+1 would wrap to 0
-        assert gather_min(graph, full, 0) == [255] * 70
+        full = bytearray(b"\xff") * 70  # 255 + 255 would wrap to 254 in uint8
+        assert gather_sum(graph, full) == [255 * graph.degree(v) for v in graph.vertices()]
 
-    def test_masked_gather_on_bytearray_values(self):
+    def test_gather_sum_on_signed_bytes_at_dtype_boundary(self):
+        graph = path_graph(70)
+        values = array("b", [-128] * 70)  # int8 min: -256 would wrap to 0
+        values[69] = 127
+        assert gather_sum(graph, values) == _brute(graph, values, None, sum, 0)
+
+    def test_masked_gather_sum_on_bytearray_values(self):
         graph = GRAPHS["trailing-isolated"]
         n = graph.num_vertices
-        flags = bytearray(n)  # nothing set; masked-out must never win
+        flags = bytearray(b"\xff") * n
         mask = _mask(n, seed=16)
-        assert gather_max(graph, flags, -1, mask) == _brute(
-            graph, list(flags), mask, max, -1
-        )
+        assert gather_sum(graph, flags, mask) == _brute(graph, list(flags), mask, sum, 0)
 
 
 class TestGatherSumFloatDetection:
@@ -243,6 +163,16 @@ class TestLiveDegrees:
         ]
         assert list(live_degrees(graph, live)) == expected
 
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_partial_mask_on_every_shape(self, name):
+        graph = GRAPHS[name]
+        live = _mask(graph.num_vertices, seed=19)
+        degrees = live_degrees(graph, live)
+        assert degrees.typecode == "l"
+        assert list(degrees) == [
+            sum(1 for u in graph.neighbors(v) if live[u]) for v in graph.vertices()
+        ]
+
 
 @pytest.mark.skipif(not _backend.numpy_enabled(), reason="numpy backend inactive")
 class TestBackendParity:
@@ -255,21 +185,11 @@ class TestBackendParity:
         values = _values(n, seed=11)
         fvalues = _values(n, seed=12, floats=True)
         mask = _mask(n, seed=13)
-        senders = [v for v in range(n) if mask[v]]
 
         def snapshot():
-            out = array("l", [10**6]) * n
-            scatter_min(graph, senders, values, out)
-            filled = array("l", range(n))
-            masked_fill(filled, mask, -3)
             return (
-                gather_min(graph, values, 10**6, mask),
-                gather_max(graph, values, -1, None),
                 gather_sum(graph, values, mask),
                 gather_sum(graph, fvalues, None),
-                bytes(gather_any(graph, mask, None)),
-                list(out),
-                list(filled),
                 list(live_degrees(graph, mask)),
             )
 

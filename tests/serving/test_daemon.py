@@ -9,6 +9,7 @@ batched query engine directly, on both kernel backends.
 from __future__ import annotations
 
 import pathlib
+import socket
 
 import pytest
 
@@ -22,11 +23,14 @@ from repro.serving import (
     ServeClient,
     ServerConfig,
     ServerThread,
+    decode_line,
     default_workers,
+    encode_message,
     run_closed_loop,
     run_open_loop,
     sample_pairs,
 )
+from repro.serving.daemon import MAX_LINE_BYTES
 from repro.telemetry import Telemetry
 
 
@@ -175,6 +179,29 @@ class TestErrorHandling:
                 )
                 stats = client.stats()
         assert stats["errors"] == 3
+
+    def test_oversized_request_line_gets_a_typed_error(self, grid_oracle):
+        line = encode_message({"id": 1, "op": "distance", "pairs": [[0, 1]] * 12000})
+        assert len(line) > MAX_LINE_BYTES
+        with ServerThread(grid_oracle) as thread:
+            with socket.create_connection(thread.address, timeout=30) as sock:
+                sock.sendall(line)
+                reader = sock.makefile("rb")
+                response = decode_line(reader.readline())
+                try:
+                    tail = reader.readline()
+                except ConnectionResetError:  # closed with the line unread
+                    tail = b""
+                reader.close()
+            with ServeClient(*thread.address) as client:
+                stats = client.stats()
+        assert response == {
+            "id": None,
+            "ok": False,
+            "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+        }
+        assert tail == b""  # the server hung up
+        assert stats["errors"] == 1
 
     def test_out_of_range_pair_never_reaches_the_batcher(self, grid_oracle):
         """Rejected requests must not poison the shared batch."""

@@ -47,7 +47,6 @@ class TestDisabledMode:
         """The no-op guarantee, measured: an untraced batch run must not
         allocate a single block inside the telemetry modules."""
         import repro.telemetry.core as core
-        import repro.telemetry.events as events
         import repro.telemetry.rounds as rounds
         import repro.telemetry.sink as sink
 
@@ -56,7 +55,7 @@ class TestDisabledMode:
         decompose_distributed(graph, k=3, seed=1, backend="batch")  # warm caches
         filters = [
             tracemalloc.Filter(True, module.__file__)
-            for module in (core, events, rounds, sink)
+            for module in (core, rounds, sink)
         ]
         tracemalloc.start()
         try:

@@ -114,16 +114,6 @@ class TestChromeTraceMapping:
         first, second = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert first["ts"] + first["dur"] < second["ts"]
 
-    def test_per_message_events_become_instants(self):
-        payload = chrome_trace([
-            {"kind": "event", "round": 2, "event": "send", "node": 1, "peer": 4},
-        ])
-        validate_chrome_trace(payload)
-        instant = next(e for e in payload["traceEvents"] if e["ph"] == "i")
-        assert instant["name"] == "send"
-        assert instant["ts"] == 2 * ROUND_TICK_US
-        assert instant["args"] == {"node": 1, "peer": 4, "round": 2}
-
 
 class TestCausalFlows:
     def test_causal_msg_rows_become_paired_flow_events(self, traced_run_records):

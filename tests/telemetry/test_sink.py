@@ -1,4 +1,4 @@
-"""The JSONL sink: header, bounds, torn-tail recovery, event mirroring."""
+"""The JSONL sink: header, bounds, torn-tail recovery."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.distributed.message import Message
 from repro.errors import ParameterError
 from repro.telemetry import JsonlSink, Telemetry, read_trace
 from repro.telemetry.sink import TELEMETRY_VERSION, records_of_kind
@@ -111,19 +110,6 @@ class TestTelemetrySinkIntegration:
         assert round_record["stream"] == "test.rounds"
         assert round_record["backend"] == "sync"
         assert round_record["frontier"] == 2 and round_record["messages"] == 4
-
-    def test_event_recorder_mirrors_kept_events(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        tel = Telemetry(sink=JsonlSink(path))
-        recorder = tel.event_recorder(limit=2)
-        for index in range(4):
-            recorder.on_send(Message(index, index + 1, ("ping",), 0, 1))
-        tel.close()
-        assert recorder.truncated
-        assert tel.events == 2  # only *kept* events are mirrored
-        _, records = read_trace(path)
-        events = records_of_kind(records, "event")
-        assert [event["node"] for event in events] == [0, 1]
 
     def test_close_is_idempotent(self, tmp_path):
         path = tmp_path / "trace.jsonl"
