@@ -15,27 +15,37 @@ per-vertex arrays and the CSR buffers of
   :class:`~repro.distributed.metrics.NetworkStats` accounting, CONGEST
   ``word_budget`` enforcement, round streams and causal logs;
 * :mod:`~repro.engine.broadcast` — the shifted-value flood epoch shared
-  by the decomposition protocols;
+  by the decomposition protocols: :class:`ShiftedFlood`, the stdlib
+  per-message loop, and the live-set and announce-round plumbing around
+  it;
+* :mod:`~repro.engine.numpy_flood` — :class:`NumpyFlood`, the same epoch
+  with one vectorised merge per round.  ``flood_epoch()`` picks it
+  whenever the numpy kernel is enabled (no size threshold, no fallback
+  under telemetry) and :class:`ShiftedFlood` under ``REPRO_KERNEL=py``;
 * :mod:`~repro.engine.en` / :mod:`~repro.engine.ls` /
   :mod:`~repro.engine.mpx` — executors behind the ``backend="batch"``
   parameter of the distributed EN / LS / MPX drivers.
 
 Everything here is pinned bit-identical to the reference simulator by
 the equivalence suite in ``tests/engine`` — outputs, round counts,
-message totals, violation rounds and causal logs alike.
+message totals, violation rounds and causal logs alike, on both flood
+epochs (``tests/engine/test_cross_kernel.py`` compares them directly).
 """
 
 from ._backend import backend_name, numpy_enabled
-from .broadcast import LiveTopology, ShiftedFlood, announce_round
+from .broadcast import LiveTopology, ShiftedFlood, announce_round, flood_epoch
 from .core import BatchEngine
+from .numpy_flood import NumpyFlood
 from .primitives import gather_sum, live_degrees
 
 __all__ = [
     "BatchEngine",
     "LiveTopology",
+    "NumpyFlood",
     "ShiftedFlood",
     "announce_round",
     "backend_name",
+    "flood_epoch",
     "gather_sum",
     "live_degrees",
     "numpy_enabled",

@@ -5,8 +5,13 @@ Linial–Saks baseline, the Miller–Peng–Xu partition — runs the same kind
 of epoch: each live vertex injects a (value, range) pair drawn from a
 shared stream, values flood outward one hop per round for ``B`` rounds
 (shrinking by 1 per hop), and every vertex then applies a local decision
-rule to the shifted values it heard.  :class:`ShiftedFlood` is that
-epoch, executed columnarly:
+rule to the shifted values it heard.  The epoch has two bit-identical
+forms, and :func:`flood_epoch` picks one at call time from the kernel
+switch alone: :class:`~repro.engine.numpy_flood.NumpyFlood`, one
+vectorised merge per round, whenever numpy is enabled; and
+:class:`ShiftedFlood`, the stdlib per-message loop, under
+``REPRO_KERNEL=py`` (it is also the reference the cross-kernel tests
+compare against).  :class:`ShiftedFlood` works columnarly too:
 
 * per-(vertex, origin) state lives in **one** packed-key dict
   (``key = vertex * n + origin -> best known distance``) instead of one
@@ -38,7 +43,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .core import BatchEngine
+from . import _backend
+from .core import BROADCAST_WORDS, BatchEngine, first_live_edge
+from .numpy_flood import NumpyFlood
 from .primitives import live_degrees
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,22 +59,10 @@ __all__ = [
     "LiveTopology",
     "ShiftedFlood",
     "announce_round",
+    "flood_epoch",
 ]
 
 _NEG_INF = -math.inf
-
-#: CONGEST cost of one ``(tag, origin, value, distance)`` broadcast record
-#: — the payload shape shared by the EN, LS and MPX protocols.
-BROADCAST_WORDS = 4
-
-
-def _first_live_edge(indptr, indices, live, sender: int) -> Tuple[int, int] | None:
-    """``(sender, w)`` for the smallest live neighbour ``w`` — the edge the
-    reference engine names first in a CongestViolation for this sender."""
-    for position in range(indptr[sender], indptr[sender + 1]):
-        if live[indices[position]]:
-            return (sender, indices[position])
-    return None  # pragma: no cover - peak senders always have live fan-out
 
 
 class LiveTopology:
@@ -446,9 +441,19 @@ class ShiftedFlood:
         return outgoing
 
     def _first_live_edge(self, sender: int) -> Tuple[int, int] | None:
-        return _first_live_edge(
-            self._indptr, self._indices, self.topology.live, sender
-        )
+        return first_live_edge(self.topology.graph, self.topology.live, sender)
+
+
+def flood_epoch() -> type:
+    """The flood epoch to run: :class:`NumpyFlood` whenever the numpy
+    kernel is enabled, :class:`ShiftedFlood` otherwise.
+
+    Read at call time, so toggling ``repro.graphs._kernel.USE_NUMPY``
+    switches it at once.  There is no size threshold and no fallback
+    under telemetry: both epochs emit identical round streams and causal
+    logs, so a traced run times the same kernel as an untraced one.
+    """
+    return NumpyFlood if _backend.enabled() else ShiftedFlood
 
 
 def announce_round(
@@ -540,9 +545,9 @@ class BatchPhases:
         """Flush the last round to an attached round stream."""
         self.engine.finish_rounds()
 
-    def _flood(self, radii, caps, policy, budget: int) -> ShiftedFlood:
+    def _flood(self, radii, caps, policy, budget: int):
         """Rounds ``1 .. budget + 1`` of a phase: broadcasts and the merge."""
-        flood = ShiftedFlood(
+        flood = flood_epoch()(
             self.engine,
             self.topology,
             radii,

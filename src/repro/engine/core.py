@@ -29,7 +29,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.causality import CausalLog
     from ..telemetry.rounds import RoundStream
 
-__all__ = ["BatchEngine"]
+__all__ = ["BROADCAST_WORDS", "BatchEngine", "first_live_edge"]
+
+#: CONGEST cost of one ``(tag, origin, value, distance)`` broadcast record
+#: — the payload shape shared by the EN, LS and MPX protocols.
+BROADCAST_WORDS = 4
+
+
+def first_live_edge(graph: Graph, live, sender: int) -> tuple[int, int] | None:
+    """``(sender, w)`` for the smallest live neighbour ``w`` — the edge the
+    reference engine names first in a CongestViolation for this sender."""
+    indptr, indices = graph.csr()
+    for position in range(indptr[sender], indptr[sender + 1]):
+        if live[indices[position]]:
+            return (sender, indices[position])
+    return None  # pragma: no cover - peak senders always have live fan-out
 
 
 class BatchEngine:
@@ -51,8 +65,8 @@ class BatchEngine:
     causal:
         Optional :class:`~repro.telemetry.causality.CausalLog`; when
         attached, protocols derive per-message parent edges from their
-        broadcast columns (:meth:`ShiftedFlood._deliver` scans each
-        sender's live CSR row) and the engine emits halt records —
+        broadcast columns (the flood epoch scans each sender's live CSR
+        row) and the engine emits halt records —
         row-identical to the reference engine's causal log on seeded
         runs.
     """

@@ -1,10 +1,10 @@
 """Batch-engine port of the distributed Elkin–Neiman protocol.
 
 :class:`BatchENPhases` executes the per-phase data plane of
-:mod:`repro.core.distributed_en` columnarly: one
-:class:`~repro.engine.broadcast.ShiftedFlood` epoch per phase
-(``B_t`` broadcast rounds + the decision merge round), then the shared
-announce round.  The phase *control* plane — schedule, radii, budgets,
+:mod:`repro.core.distributed_en` columnarly: one flood epoch per phase
+(``B_t`` broadcast rounds + the decision merge round; see
+:func:`~repro.engine.broadcast.flood_epoch`), then the shared announce
+round.  The phase *control* plane — schedule, radii, budgets,
 truncation bookkeeping — stays in :func:`repro.core.distributed_en.decompose_distributed`,
 whose phase loop (:meth:`repro.distributed.phases.DriverRun.run_phases`) drives
 either this class or the reference node algorithms through the same

@@ -3,8 +3,9 @@
 Same split as :mod:`repro.engine.en`: the phase control plane stays in
 :func:`repro.baselines.distributed_ls.decompose_distributed`, whose phase
 loop selects this executor with ``backend="batch"``; each phase's data plane
-is one full-forwarding :class:`~repro.engine.broadcast.ShiftedFlood`
-epoch over integer radii, followed by the shared announce round.
+is one full-forwarding flood epoch
+(:func:`~repro.engine.broadcast.flood_epoch`) over integer radii,
+followed by the shared announce round.
 
 LS-specific wrinkles, both carried by the flood core's summaries:
 

@@ -1,7 +1,7 @@
 """Batch-engine port of the distributed Miller–Peng–Xu partition.
 
-MPX is a single :class:`~repro.engine.broadcast.ShiftedFlood` epoch over
-the whole graph: every vertex injects ``δ_v ~ Exp(β)``, shifted values
+MPX is a single flood epoch (:func:`~repro.engine.broadcast.flood_epoch`)
+over the whole graph: every vertex injects ``δ_v ~ Exp(β)``, shifted values
 flood for ``B = max ⌊δ_v⌋`` rounds, and each vertex is assigned to the
 origin of the largest shifted value it heard (smallest id on ties) —
 exactly the flood core's streaming ``best`` summary.  The driver
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 from ..distributed.metrics import NetworkStats
 from ..graphs.graph import Graph
-from .broadcast import LiveTopology, ShiftedFlood
+from .broadcast import LiveTopology, flood_epoch
 from .core import BatchEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +47,7 @@ def run_mpx_batch(
     engine = BatchEngine(graph, word_budget, rounds=rounds, causal=causal)
     topology = LiveTopology(graph)
     caps = {v: math.floor(s) for v, s in shifts.items()}
-    flood = ShiftedFlood(
+    flood = flood_epoch()(
         engine,
         topology,
         shifts,
@@ -55,7 +55,7 @@ def run_mpx_batch(
         "full" if mode == "full" else 1,
     )
     flood.run(budget)
-    center_of = {v: flood.best_origin[v] for v in range(graph.num_vertices)}
+    center_of = dict(enumerate(flood.best_origin))
     engine.halt(range(graph.num_vertices))
     engine.finish_rounds()
     return center_of, engine.stats

@@ -2,9 +2,11 @@
 
 ``ShiftedFlood._deliver`` promises (its docstring) that its streaming
 merges are commutative — any permutation of one round's broadcast
-records leaves the decision arrays identical.  That property is what
+records leaves the decision arrays identical.  ``NumpyFlood._deliver``
+promises the same of its sort-based merge.  That property is what
 the asynchronous engine's adversarial schedules lean on, so it gets a
-direct property test here rather than only an end-to-end one.
+direct property test here, for both epochs, rather than only an
+end-to-end one.
 """
 
 from __future__ import annotations
@@ -13,13 +15,34 @@ import random
 
 import pytest
 
+from repro.engine import _backend
 from repro.engine.broadcast import LiveTopology, ShiftedFlood
 from repro.engine.core import BatchEngine
+from repro.engine.numpy_flood import NumpyFlood
 from repro.graphs import erdos_renyi
 from repro.rng import stream
 
+EPOCHS = [
+    ShiftedFlood,
+    pytest.param(
+        NumpyFlood,
+        marks=pytest.mark.skipif(
+            not _backend.numpy_enabled(), reason="numpy kernel inactive"
+        ),
+    ),
+]
 
-def _decision_state(flood: ShiftedFlood):
+
+def _memory(flood):
+    """What the epoch keeps to recognise repeat arrivals."""
+    if isinstance(flood, ShiftedFlood):
+        return dict(flood.entries)
+    if flood.policy == "full":
+        return [keys.tolist() for keys in flood._recent]
+    return [slot.tolist() for slot in flood._slot_origin + flood._slot_value]
+
+
+def _decision_state(flood):
     return (
         list(flood.best_value),
         list(flood.best_origin),
@@ -27,22 +50,42 @@ def _decision_state(flood: ShiftedFlood):
         list(flood.num_entries),
         list(flood.min_origin),
         list(flood.min_shifted),
-        dict(flood.entries),
+        _memory(flood),
     )
 
 
-def _fresh_flood(graph, policy):
+def _fresh_flood(graph, policy, epoch=ShiftedFlood):
     rng = stream(42, "broadcast-order", policy if policy == "full" else policy)
     values = {v: 1.0 + 3.0 * rng.random() for v in range(graph.num_vertices)}
     caps = {v: int(values[v]) for v in values}
     engine = BatchEngine(graph)
-    flood = ShiftedFlood(engine, LiveTopology(graph), values, caps, policy)
+    flood = epoch(engine, LiveTopology(graph), values, caps, policy)
     return flood
 
 
+def _deliver(flood, outgoing):
+    """Deliver one round of ``(sender, origin, distance)`` records.
+
+    A :class:`NumpyFlood` round is a ``(senders, origins)`` column whose
+    records share one distance; what it returns — the entries it
+    forwards next — comes back as a set of ``(vertex, origin)`` pairs.
+    """
+    if isinstance(flood, ShiftedFlood):
+        return flood._deliver(outgoing)
+    np = _backend.np
+    (distance,) = {d for _sender, _origin, d in outgoing}
+    column = (
+        np.array([sender for sender, _o, _d in outgoing], dtype=np.int64),
+        np.array([origin for _s, origin, _d in outgoing], dtype=np.int64),
+    )
+    forwarded = flood._deliver(column, distance + 1)
+    return set(zip(*(side.tolist() for side in forwarded)))
+
+
+@pytest.mark.parametrize("epoch", EPOCHS)
 @pytest.mark.parametrize("policy", ["full", 1, 2])
 @pytest.mark.parametrize("permutation_seed", [1, 2, 3])
-def test_deliver_is_permutation_invariant(policy, permutation_seed):
+def test_deliver_is_permutation_invariant(epoch, policy, permutation_seed):
     graph = erdos_renyi(30, 0.2, seed=6)
     # One realistic round of traffic: every vertex broadcasts its own
     # value at distance 0 (the epoch's round-1 sends).
@@ -50,13 +93,13 @@ def test_deliver_is_permutation_invariant(policy, permutation_seed):
     shuffled = list(outgoing)
     random.Random(permutation_seed).shuffle(shuffled)
 
-    reference = _fresh_flood(graph, policy)
+    reference = _fresh_flood(graph, policy, epoch)
     reference._pending_count = 0
-    reference_updated = reference._deliver(outgoing)
+    reference_updated = _deliver(reference, outgoing)
 
-    permuted = _fresh_flood(graph, policy)
+    permuted = _fresh_flood(graph, policy, epoch)
     permuted._pending_count = 0
-    permuted_updated = permuted._deliver(shuffled)
+    permuted_updated = _deliver(permuted, shuffled)
 
     assert _decision_state(reference) == _decision_state(permuted)
     if policy == "full":
@@ -67,28 +110,35 @@ def test_deliver_is_permutation_invariant(policy, permutation_seed):
         assert reference_updated == permuted_updated  # a set
 
 
+@pytest.mark.parametrize("epoch", EPOCHS)
 @pytest.mark.parametrize("policy", ["full", 2])
-def test_two_round_epoch_state_permutation_invariant(policy):
-    """Permute the *second* round's records too — distances now vary."""
+def test_two_round_epoch_state_permutation_invariant(epoch, policy):
+    """Permute the *second* round's records too — distances now vary
+    (for :class:`ShiftedFlood`; a :class:`NumpyFlood` round carries one
+    distance, so it gets the distance-1 records)."""
     graph = erdos_renyi(30, 0.2, seed=6)
     round_one = [(v, v, 0) for v in range(graph.num_vertices)]
+    # Second-round traffic: forward every eligible entry (superset of
+    # what either policy would send — a harder permutation test).
+    twin = _fresh_flood(graph, policy)
+    twin._pending_count = 0
+    twin._deliver(round_one)
+    n = graph.num_vertices
+    second_round = [
+        (v, key % n, dist)
+        for key, dist in sorted(twin.entries.items())
+        for v in [key // n]
+        if dist + 1 <= twin.caps[key % n] and (epoch is ShiftedFlood or dist == 1)
+    ]
 
     def run(perm_seed):
-        flood = _fresh_flood(graph, policy)
+        flood = _fresh_flood(graph, policy, epoch)
         flood._pending_count = 0
-        flood._deliver(round_one)
-        # Second-round traffic: forward every eligible entry (superset of
-        # what either policy would send — a harder permutation test).
-        n = graph.num_vertices
-        second = [
-            (v, key % n, dist)
-            for key, dist in sorted(flood.entries.items())
-            for v in [key // n]
-            if dist + 1 <= flood.caps[key % n]
-        ]
+        _deliver(flood, round_one)
+        second = list(second_round)
         if perm_seed:
             random.Random(perm_seed).shuffle(second)
-        flood._deliver(second)
+        _deliver(flood, second)
         return _decision_state(flood)
 
     assert run(0) == run(9) == run(23)

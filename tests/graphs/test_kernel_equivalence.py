@@ -9,7 +9,11 @@ on both the numpy-accelerated and the pure-Python backend, for plain
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -205,3 +209,44 @@ class TestActiveSetNotCorrupted:
         second = carve_block(graph, active, radii)
         assert first.block == second.block
         assert first.center_of == second.center_of
+
+
+class TestKernelSwitch:
+    """``REPRO_KERNEL`` accepts empty, ``auto`` and ``py`` (any case,
+    surrounding whitespace ignored) and rejects anything else at import,
+    so a misspelt value cannot silently test the numpy paths."""
+
+    SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+    def _python(self, value: str, code: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(self.SRC), "REPRO_KERNEL": value},
+            capture_output=True,
+            text=True,
+        )
+
+    @pytest.mark.parametrize("value", ["python", "pure", "off"])
+    def test_unknown_value_rejected(self, value):
+        proc = self._python(value, "import repro.graphs")
+        assert proc.returncode != 0
+        assert "ParameterError" in proc.stderr
+        assert "'auto'" in proc.stderr and "'py'" in proc.stderr
+        assert repr(value) in proc.stderr
+
+    def test_accepted_values(self):
+        values = ["", "auto", " AUTO ", "py", " Py\t"]
+        # One interpreter: re-execute the module under each value.
+        proc = self._python("", (
+            "import importlib, os\n"
+            "import repro.graphs._kernel as kernel\n"
+            f"for value in {values!r}:\n"
+            "    os.environ['REPRO_KERNEL'] = value\n"
+            "    print(importlib.reload(kernel).backend_name())\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        accelerated = "python" if kernel._np is None else "numpy"
+        assert proc.stdout.split() == [
+            "python" if value.strip().lower() == "py" else accelerated
+            for value in values
+        ]
