@@ -5,7 +5,7 @@ radius ``r_v`` per active vertex, this module computes the block
 :math:`W_t`:
 
 1. every vertex ``v`` *broadcasts* ``r_v`` to its ``⌊r_v⌋``-neighbourhood
-   in :math:`G_t` — here, a bounded BFS over the active set;
+   in :math:`G_t`;
 2. every vertex ``y`` records ``m_i = r_{v_i} − d_{G_t}(y, v_i)`` for each
    broadcast that reaches it (its own included, with ``m = r_y``);
 3. ``y`` joins :math:`W_t` **iff** ``m₁ − m₂ > 1``, where ``m₁ ≥ m₂`` are
@@ -14,6 +14,27 @@ radius ``r_v`` per active vertex, this module computes the block
 
 The same kernel runs inside the centralized drivers (Theorems 1–3) and is
 the ground truth the distributed protocol is cross-validated against.
+
+Steps 1–2 have two paths, picked at call time by the kernel switch
+(:func:`~repro.graphs._kernel.numpy_enabled`, i.e. ``REPRO_KERNEL``) with
+no size threshold — the rule the batch engine's flood epoch follows:
+
+* **numpy** — all of the phase's broadcasts run as one multi-origin,
+  full-forwarding flood over the active set, built on the kernel's
+  flood-round helpers.  Each origin's flood is then exactly its bounded
+  BFS, and each round's arrivals fold into per-vertex top-two columns.
+  Floods of different origins never interact, so a round whose senders'
+  rows hold more than :data:`_SPLIT_FANOUT` candidates is split by
+  origin range and one half finished before the other: the result is
+  the same for any split, and memory stays bounded on small-diameter
+  graphs, where balls cover most of the graph.
+* **pure Python** — one bounded BFS per broadcast over a shared scratch
+  mask, one :meth:`TopTwo.offer` per (vertex, origin) pair.  It is the
+  reference the numpy path is tested against, and on the stdlib path it
+  is faster than a carve on the batch engine's ``ShiftedFlood``.
+
+Both paths give the same blocks, centers and records, ``second_origin``
+and ``count`` included.
 
 Tie-breaking: radii are continuous, so exact ties between shifted values
 have probability zero; for bit-level determinism we still order competitors
@@ -29,11 +50,28 @@ from dataclasses import dataclass, field
 from typing import Container, Mapping
 
 from ..errors import ParameterError
-from ..graphs._kernel import bfs_levels
+from ..graphs import _kernel
+from ..graphs._kernel import (
+    bfs_levels,
+    drop_seen,
+    frontier_keys,
+    numpy_enabled,
+    run_argmax,
+    run_heads,
+    run_lengths,
+)
 from ..graphs.activeset import ActiveSet, blocked_from_active
 from ..graphs.graph import Graph
 
 __all__ = ["TopTwo", "PhaseOutcome", "carve_block", "broadcast_reach"]
+
+#: Largest fan-out (candidate arrivals) one round of the numpy carve's
+#: flood expands at once; a wider round is split by origin range.  It
+#: also caps the arrivals buffered per fold.  At this value the oracle
+#: build of ``gnp_fast:10000:0.0006`` peaks within 1 MB of the BFS
+#: carve's RSS (at 1 << 16, 3–6 MB above it) with no measurable cost in
+#: time (2-core x86-64, CPython 3.11, numpy 2.4).
+_SPLIT_FANOUT = 1 << 15
 
 
 @dataclass
@@ -89,7 +127,7 @@ class TopTwo:
         return self.gap > threshold
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseOutcome:
     """Result of carving one block.
 
@@ -102,11 +140,31 @@ class PhaseOutcome:
     top_two:
         Per active vertex, its :class:`TopTwo` record — kept so analyses
         (gap distributions, Lemma 5 checks) can inspect the full outcome.
+        The numpy carve keeps the records as per-vertex columns and
+        builds the dict on first read; the drivers never read it.
     """
 
     block: set[int] = field(default_factory=set)
     center_of: dict[int, int] = field(default_factory=dict)
-    top_two: dict[int, TopTwo] = field(default_factory=dict)
+    _records: dict[int, TopTwo] = field(default_factory=dict, init=False, repr=False)
+    _columns: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def top_two(self) -> dict[int, TopTwo]:
+        if self._columns is not None:
+            vertices, *fields = (column.tolist() for column in self._columns)
+            self._records = dict(zip(vertices, map(TopTwo, *fields)))
+            self._columns = None
+        return self._records
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhaseOutcome):
+            return NotImplemented
+        return (self.block, self.center_of, self.top_two) == (
+            other.block,
+            other.center_of,
+            other.top_two,
+        )
 
 
 def broadcast_reach(radius: float, range_cap: int | None) -> int:
@@ -117,6 +175,8 @@ def broadcast_reach(radius: float, range_cap: int | None) -> int:
     """
     if radius < 0:
         raise ParameterError(f"radius must be >= 0, got {radius}")
+    if not math.isfinite(radius):
+        raise ParameterError(f"radius must be finite, got {radius}")
     reach = math.floor(radius)
     if range_cap is not None:
         reach = min(reach, range_cap)
@@ -155,19 +215,32 @@ def carve_block(
     PhaseOutcome
         Block, chosen centers and per-vertex top-two records.
 
+    Raises
+    ------
+    ParameterError
+        When a radius is given for an inactive vertex, or a radius is
+        negative or not finite.
+
     Notes
     -----
     Every vertex hears at least its own broadcast (distance 0 is always
     within range since ``⌊r⌋ ≥ 0``), so ``m₁`` is always defined — matching
     the paper's observation that an isolated vertex joins iff ``r_y > 1``.
     """
+    scratch = blocked_from_active(graph.num_vertices, active)
+    if numpy_enabled():
+        return _carve_flood(graph, scratch, radii, range_cap, gap_threshold)
+    return _carve_bfs(graph, scratch, radii, range_cap, gap_threshold)
+
+
+def _carve_bfs(graph, scratch, radii, range_cap, gap_threshold) -> PhaseOutcome:
+    """The pure-Python carve: one bounded BFS per broadcast."""
     outcome = PhaseOutcome()
     top_two = outcome.top_two
     # One shared scratch mask (1 = inactive-or-visited) serves every
     # broadcast of the phase: each bounded BFS marks the vertices it
     # reaches and un-marks them afterwards, so the phase allocates O(n)
     # once instead of per broadcast.
-    scratch = blocked_from_active(graph.num_vertices, active)
     for v in sorted(radii):
         if not 0 <= v < graph.num_vertices or scratch[v]:
             raise ParameterError(f"radius given for inactive vertex {v}")
@@ -193,3 +266,162 @@ def carve_block(
             outcome.block.add(y)
             outcome.center_of[y] = record.best_origin
     return outcome
+
+
+def _carve_flood(graph, scratch, radii, range_cap, gap_threshold) -> PhaseOutcome:
+    """The numpy carve: every broadcast of the phase as one multi-origin,
+    full-forwarding flood, folded into per-vertex top-two columns.
+
+    A round's column holds the keys ``w * n + o`` of the entries that
+    travel on: origin ``o``'s whole BFS level, while ``o``'s reach lasts.
+    Its arrivals that repeat the last two columns are dropped, which
+    leaves each origin's next BFS level.  A column whose senders' rows
+    hold more than :data:`_SPLIT_FANOUT` candidates is split by origin
+    range, its previous column with it, and the lower half runs to the
+    end before the upper half starts.
+    """
+    np = _kernel._np
+    n = graph.num_vertices
+    vertices = np.fromiter(radii, dtype=np.int64, count=len(radii))
+    radius = np.fromiter(radii.values(), dtype=np.float64, count=len(radii))
+    order = vertices.argsort()
+    vertices, radius = vertices[order], radius[order]
+    live = np.frombuffer(scratch, dtype=np.uint8) == 0
+    inactive = (vertices < 0) | (vertices >= n)
+    inactive[~inactive] = ~live[vertices[~inactive]]
+    if inactive.any():
+        v = int(vertices[inactive.argmax()])
+        raise ParameterError(f"radius given for inactive vertex {v}")
+    invalid = ~((radius >= 0) & (radius < np.inf))
+    if invalid.any():
+        broadcast_reach(radii[int(vertices[invalid.argmax()])], range_cap)
+    # No flood travels n hops, so clipping at n keeps the cast exact.
+    cap = n if range_cap is None else min(range_cap, n)
+    reach = np.zeros(n, dtype=np.int64)
+    reach[vertices] = np.floor(np.minimum(radius, cap))
+    value = np.zeros(n)
+    value[vertices] = radius
+    fold = _TopTwoColumns(n, vertices, radius)
+    indptr, indices = graph._numpy_csr()
+    own = vertices[reach[vertices] >= 1]
+    pending = [(own * n + own, own[:0], 1)]
+    while pending:
+        column, previous, distance = pending.pop()
+        while len(column):
+            senders, origins = np.divmod(column, n)
+            fanout = int((indptr[senders + 1] - indptr[senders]).sum())
+            if fanout > _SPLIT_FANOUT:
+                low, high = int(origins.min()), int(origins.max())
+                if low < high:
+                    middle = (low + high + 1) // 2
+                    upper = origins >= middle
+                    earlier = previous % n >= middle
+                    pending.append((column[upper], previous[earlier], distance))
+                    column, previous = column[~upper], previous[~earlier]
+                    continue
+            keys = frontier_keys(indptr, indices, live, senders, origins)
+            keys = drop_seen(keys, (column, previous))
+            o = keys % n
+            fold.add(keys, value[o] - distance)
+            previous, column = column, keys[reach[o] > distance]
+            distance += 1
+    return fold.outcome(vertices, gap_threshold)
+
+
+class _TopTwoColumns:
+    """:class:`TopTwo` records as per-vertex numpy columns.
+
+    Arrivals are buffered and folded in under the records' order — the
+    larger value wins, the smaller origin on ties — so the columns match
+    :meth:`TopTwo.offer` for any order and split of the arrivals.  The
+    buffer is folded once it holds more than :data:`_SPLIT_FANOUT`
+    arrivals, which on small graphs means once per carve.
+    """
+
+    def __init__(self, n: int, vertices, radius) -> None:
+        np = _kernel._np
+        self.n = n
+        self.keys: list = []
+        self.shifted: list = []
+        self.buffered = 0
+        # Every vertex first holds its own broadcast, at distance 0.
+        self.best = np.full(n, -np.inf)
+        self.best[vertices] = radius
+        self.best_origin = np.full(n, -1, dtype=np.int64)
+        self.best_origin[vertices] = vertices
+        self.second = np.full(n, -np.inf)
+        self.second_origin = np.full(n, -1, dtype=np.int64)
+        self.count = np.zeros(n, dtype=np.int64)
+        self.count[vertices] = 1
+
+    def add(self, keys, shifted) -> None:
+        """Buffer one round's arrivals: sorted keys ``w * n + o``, each an
+        origin new to its receiver, and their shifted values."""
+        if len(keys):
+            self.keys.append(keys)
+            self.shifted.append(shifted)
+            self.buffered += len(keys)
+            if self.buffered > _SPLIT_FANOUT:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold the buffered arrivals into the columns."""
+        np = _kernel._np
+        keys, shifted = np.concatenate(self.keys), np.concatenate(self.shifted)
+        if len(self.keys) > 1:
+            # Each round's keys are sorted, so the stable sort merges runs.
+            order = keys.argsort(kind="stable")
+            keys, shifted = keys[order], shifted[order]
+        self.keys, self.shifted, self.buffered = [], [], 0
+        w, o = np.divmod(keys, self.n)
+        heads = run_heads(w)
+        receiver = w[heads]
+        sizes = run_lengths(heads, len(w))
+        self.count[receiver] += sizes
+        if len(heads) == len(w):
+            top, top_origin = shifted, o
+            runner = np.full(len(w), -np.inf)
+            runner_origin = o
+        else:
+            top_at = run_argmax(shifted, heads, sizes)
+            top, top_origin = shifted[top_at], o[top_at]
+            rest = shifted.copy()
+            rest[top_at] = -np.inf
+            runner_at = run_argmax(rest, heads, sizes)
+            runner, runner_origin = rest[runner_at], o[runner_at]
+        best, best_origin = self.best[receiver], self.best_origin[receiver]
+        wins = _beats(top, top_origin, best, best_origin)
+        # The new runner-up is the better of the displaced best and the
+        # batch's runner-up when the batch's top wins, else of the held
+        # runner-up and the batch's top.
+        held = np.where(wins, best, self.second[receiver])
+        held_origin = np.where(wins, best_origin, self.second_origin[receiver])
+        new = np.where(wins, runner, top)
+        new_origin = np.where(wins, runner_origin, top_origin)
+        take = _beats(new, new_origin, held, held_origin)
+        self.second[receiver] = np.where(take, new, held)
+        self.second_origin[receiver] = np.where(take, new_origin, held_origin)
+        self.best[receiver] = np.where(wins, top, best)
+        self.best_origin[receiver] = np.where(wins, top_origin, best_origin)
+
+    def outcome(self, vertices, gap_threshold: float) -> PhaseOutcome:
+        """The block, its centers and (lazily) the records of ``vertices``."""
+        np = _kernel._np
+        if self.buffered:
+            self._fold()
+        count = self.count[vertices]
+        best = self.best[vertices]
+        best_origin = self.best_origin[vertices]
+        # A lone broadcast reads m₂ = 0; its runner-up origin stayed -1.
+        second = np.where(count == 1, 0.0, self.second[vertices])
+        second_origin = self.second_origin[vertices]
+        joins = best - second > gap_threshold
+        joined = vertices[joins].tolist()
+        outcome = PhaseOutcome(set(joined), dict(zip(joined, best_origin[joins].tolist())))
+        outcome._columns = (vertices, best, best_origin, second, second_origin, count)
+        return outcome
+
+
+def _beats(value, origin, other, other_origin):
+    """Where ``(value, origin)`` ranks above ``(other, other_origin)``."""
+    return (value > other) | ((value == other) & (origin < other_origin))

@@ -62,16 +62,20 @@ def sample_phase_radii(
     (:func:`repro.rng.seed_prefix`), and a single reseeded
     :class:`random.Random` replaces one fresh generator per draw.  At
     :math:`n \\approx 10^5` vertices per phase this is the driver's hot
-    loop (see ``benchmarks/bench_engine.py``).
+    loop (see ``benchmarks/bench_engine.py``).  The loop calls the
+    generator's C-level seed (``Random.seed`` only adds a type check and
+    resets ``gauss_next``, which ``expovariate`` never reads) and inlines
+    the body of :meth:`random.Random.expovariate`.
     """
     if beta <= 0:
         raise ParameterError(f"beta must be positive, got {beta}")
     derive = seed_prefix(seed, "radius", phase)
     rng = random.Random()
+    reseed, draw, log = super(random.Random, rng).seed, rng.random, math.log
     radii: dict[int, float] = {}
     for v in vertices:
-        rng.seed(derive(v))
-        radii[v] = rng.expovariate(beta)
+        reseed(derive(v))
+        radii[v] = -log(1.0 - draw()) / beta
     return radii
 
 

@@ -5,11 +5,15 @@
 ``run(budget)``, same decision summaries, and bit-identical
 :class:`~repro.distributed.metrics.NetworkStats`, round streams and
 causal logs — with one vectorised merge per round in place of a
-per-message Python loop.  A round gathers the senders' CSR rows
-(:func:`~repro.graphs._kernel.gather_frontier_rows`), drops dead
-receivers, dedupes the int64 keys ``w * n + o`` by sort and neighbour
-diff, and merges the new entries per receiver.  Traffic counters come
-from the live degrees in bulk.
+per-message Python loop.  A round gathers the senders' CSR rows, drops
+dead receivers and dedupes the int64 keys ``w * n + o`` by sort and
+neighbour diff (:func:`~repro.graphs._kernel.frontier_keys`); the full
+policy also drops the keys of the last two rounds
+(:func:`~repro.graphs._kernel.drop_seen`).  The new entries are merged
+per receiver with the kernel's per-run reductions (``run_heads``,
+``run_lengths``, ``run_argmax``).  The centralized carve
+(:func:`~repro.core.carving.carve_block`) builds on the same helpers.
+Traffic counters come from the live degrees in bulk.
 
 No per-(vertex, origin) table is kept.  Three invariants of the epoch
 make that exact:
@@ -39,7 +43,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Tuple
 
-from ..graphs._kernel import gather_frontier_rows
+from ..graphs._kernel import (
+    drop_seen,
+    frontier_keys,
+    gather_frontier_rows,
+    run_argmax,
+    run_heads,
+    run_lengths,
+)
 from ._backend import np
 from .core import BROADCAST_WORDS, BatchEngine, first_live_edge
 
@@ -49,31 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["NumpyFlood"]
 
 _EMPTY = np.empty(0, dtype=np.int64) if np is not None else None
-
-
-def _heads(sorted_ids):
-    """Start positions of the runs of equal values in ``sorted_ids``."""
-    edge = np.empty(len(sorted_ids), dtype=bool)
-    edge[:1] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=edge[1:])
-    return np.flatnonzero(edge)
-
-
-def _run_lengths(heads, total: int):
-    """Lengths of the runs starting at ``heads`` in an array of ``total``."""
-    lengths = np.empty_like(heads)
-    np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
-    lengths[-1:] = total - heads[-1:]
-    return lengths
-
-
-def _run_argmax(values, heads, sizes):
-    """Per run, the position of its largest value — the first on ties,
-    which is the smallest origin, since runs are sorted by origin."""
-    top = np.maximum.reduceat(values, heads)
-    at_top = values == np.repeat(top, sizes)
-    ranks = np.where(at_top, np.arange(len(values)), len(values))
-    return np.minimum.reduceat(ranks, heads)
 
 
 def _as_list(array_name: str) -> property:
@@ -191,18 +177,10 @@ class NumpyFlood:
         senders, origins = column
         if len(senders) and engine.causal is not None:
             self._log_deliveries(senders)
-        receivers, fanout = gather_frontier_rows(self._indptr, self._indices, senders)
-        if receivers is None:
-            keys = _EMPTY
-        else:
-            origins = np.repeat(origins, fanout)
-            keep = (self._live[receivers] != 0) & (receivers != origins)
-            keys = receivers[keep].astype(np.int64, copy=False) * self._n
-            keys += origins[keep]
-            keys.sort()
-            keys = keys[_heads(keys)]
+        keys = frontier_keys(self._indptr, self._indices, self._live, senders, origins)
         if self.policy == "full":
-            keys = self._drop_recent(keys)
+            keys = drop_seen(keys, self._recent)
+            self._recent = (keys, self._recent[0])
         w, o = np.divmod(keys, self._n)
         if self.policy != "full":
             repeat = np.zeros(len(o), dtype=bool)
@@ -218,30 +196,20 @@ class NumpyFlood:
             return (w[eligible], o[eligible])
         return self._fill_slots(w[eligible], o[eligible], shifted[eligible])
 
-    def _drop_recent(self, keys):
-        """Full policy: drop keys that arrived in the last two rounds."""
-        for seen in self._recent:
-            if len(seen) and len(keys):
-                at = np.searchsorted(seen, keys)
-                at[at == len(seen)] = 0
-                keys = keys[seen[at] != keys]
-        self._recent = (keys, self._recent[0])
-        return keys
-
     def _merge(self, w, o, shifted) -> None:
         """Fold new entries — sorted by ``(receiver, origin)`` — into the
         per-vertex summaries, with the reference tie-breaks: best is the
         largest value (smallest origin on ties), second the largest value
         of any other origin, min the smallest origin."""
-        heads = _heads(w)
+        heads = run_heads(w)
         receiver = w[heads]
-        sizes = _run_lengths(heads, len(w))
+        sizes = run_lengths(heads, len(w))
         # Origins ascend within a receiver's run: its head is the minimum.
         first = o[heads]
         lower = first < self._min_origin[receiver]
         self._min_origin[receiver[lower]] = first[lower]
         self._min_shifted[receiver[lower]] = shifted[heads[lower]]
-        top_at = _run_argmax(shifted, heads, sizes)
+        top_at = run_argmax(shifted, heads, sizes)
         top, top_origin = shifted[top_at], o[top_at]
         rest = shifted.copy()
         rest[top_at] = -np.inf
@@ -278,15 +246,15 @@ class NumpyFlood:
         w, o, shifted = w[enters], o[enters], shifted[enters]
         if not len(w):
             return (_EMPTY, _EMPTY)
-        heads = _heads(w)
+        heads = run_heads(w)
         receiver = w[heads]
-        sizes = _run_lengths(heads, len(w))
+        sizes = run_lengths(heads, len(w))
         k = self.policy
         # Best first; a run with fewer than k entrants pads with -inf.
         left = shifted.copy()
         pick_at, pick_value = [], []
         for _ in range(k):
-            at = _run_argmax(left, heads, sizes)
+            at = run_argmax(left, heads, sizes)
             pick_at.append(at)
             pick_value.append(left[at])
             left[at] = -np.inf
@@ -323,9 +291,9 @@ class NumpyFlood:
         messages = peak = loud_senders = 0
         offender = None
         if len(senders):
-            heads = _heads(senders)
+            heads = run_heads(senders)
             sender = senders[heads]
-            count = _run_lengths(heads, len(senders))
+            count = run_lengths(heads, len(senders))
             degree = self._live_deg[sender]
             messages = int(np.dot(count, degree))
             loud = np.where(degree > 0, count, 0)
@@ -349,9 +317,9 @@ class NumpyFlood:
         """Causal parent edges for one delivered column: a sender with
         ``c`` records puts ``c`` messages on each live edge, logged as
         ``(sender -> w, count=c)`` sorted by ``(receiver, sender)``."""
-        heads = _heads(senders)
+        heads = run_heads(senders)
         sender = senders[heads]
-        count = _run_lengths(heads, len(senders))
+        count = run_lengths(heads, len(senders))
         receivers, fanout = gather_frontier_rows(self._indptr, self._indices, sender)
         if receivers is None:
             return

@@ -19,6 +19,13 @@ once against the flat CSR representation of
   frontiers always take the plain-Python path: per-level numpy dispatch
   overhead would dominate on high-diameter graphs.
 
+The module also holds the numpy round of a *multi-origin* flood, one
+record per (vertex, origin) pair (:func:`frontier_keys`,
+:func:`drop_seen`), and the per-run reductions over its sorted keys
+(:func:`run_heads`, :func:`run_lengths`, :func:`run_argmax`).  The batch
+engine's :class:`~repro.engine.numpy_flood.NumpyFlood` and the
+centralized carve (:func:`~repro.core.carving.carve_block`) share them.
+
 Determinism: both paths emit every BFS level **sorted ascending**, so
 results are bit-identical between backends, between runs, and between the
 serial and multiprocessing experiment runners.  Set
@@ -39,7 +46,17 @@ try:  # numpy is an optional accelerator, never a requirement
 except ImportError:  # pragma: no cover - exercised on stdlib-only installs
     _np = None
 
-__all__ = ["bfs_levels", "backend_name", "gather_frontier_rows", "numpy_enabled"]
+__all__ = [
+    "bfs_levels",
+    "backend_name",
+    "drop_seen",
+    "frontier_keys",
+    "gather_frontier_rows",
+    "numpy_enabled",
+    "run_argmax",
+    "run_heads",
+    "run_lengths",
+]
 
 #: Frontier width at which vectorised expansion starts to win over the
 #: plain-Python loop (measured on CPython 3.11; the crossover is flat
@@ -88,6 +105,72 @@ def gather_frontier_rows(np_indptr, np_indices, frontier):
     gather = _np.repeat(starts - (ends - counts), counts)
     gather += _np.arange(total, dtype=gather.dtype)
     return np_indices[gather], counts
+
+
+# ----------------------------------------------------------------------
+# The multi-origin flood round and its per-run reductions.  A round's
+# state is a column of int64 keys ``w * n + o``, sorted by receiver,
+# then by origin.
+# ----------------------------------------------------------------------
+
+
+def frontier_keys(np_indptr, np_indices, live, senders, origins):
+    """The sorted, distinct keys ``w * n + o`` one round delivers.
+
+    Each sender ``senders[i]`` forwards origin ``origins[i]`` to its
+    whole CSR row; receivers outside ``live`` (a 0/1 array over the ``n``
+    vertices) and arrivals back at their own origin (``w == o``) are
+    dropped, and the remaining keys are sorted and deduplicated by
+    neighbour diff.
+    """
+    receivers, fanout = gather_frontier_rows(np_indptr, np_indices, senders)
+    if receivers is None:
+        return _np.empty(0, dtype=_np.int64)
+    origins = _np.repeat(origins, fanout)
+    keep = (live[receivers] != 0) & (receivers != origins)
+    keys = receivers[keep].astype(_np.int64, copy=False) * len(live)
+    keys += origins[keep]
+    keys.sort()
+    return keys[run_heads(keys)]
+
+
+def drop_seen(keys, seen):
+    """``keys`` minus every key held by the sorted arrays in ``seen``.
+
+    Under full forwarding a flood's arrivals are BFS levels: a key that
+    repeats one of the last two rounds' keys is an entry the receiver
+    already holds, so those two arrays are the flood's only memory.
+    """
+    for recent in seen:
+        if len(recent) and len(keys):
+            at = recent.searchsorted(keys)
+            keys = keys[recent.take(at, mode="clip") != keys]
+    return keys
+
+
+def run_heads(sorted_ids):
+    """Start positions of the runs of equal values in ``sorted_ids``."""
+    edge = _np.empty(len(sorted_ids), dtype=bool)
+    edge[:1] = True
+    _np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=edge[1:])
+    return edge.nonzero()[0]
+
+
+def run_lengths(heads, total: int):
+    """Lengths of the runs starting at ``heads`` in an array of ``total``."""
+    lengths = _np.empty_like(heads)
+    _np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
+    lengths[-1:] = total - heads[-1:]
+    return lengths
+
+
+def run_argmax(values, heads, sizes):
+    """Per run, the position of its largest value — the first on ties,
+    which is the smallest origin when runs are sorted by origin."""
+    top = _np.maximum.reduceat(values, heads)
+    at_top = values == _np.repeat(top, sizes)
+    ranks = _np.where(at_top, _np.arange(len(values)), len(values))
+    return _np.minimum.reduceat(ranks, heads)
 
 
 def bfs_levels(

@@ -22,6 +22,7 @@ traversal call instead of a per-edge Python probe.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Container, Iterable, Iterator
 
 from ..errors import GraphError
@@ -116,8 +117,7 @@ class ActiveSet:
         return self._count > 0
 
     def __iter__(self) -> Iterator[int]:
-        mask = self._mask
-        return (v for v in range(self._n) if mask[v])
+        return compress(range(self._n), self._mask)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ActiveSet):

@@ -6,9 +6,8 @@ compacts it into :class:`~repro.oracle.tables.ScaleTables`:
 
 1. **fringe growth** — cover cluster ``j`` is ``N_W[core_j]``, grown
    with one multi-source :func:`~repro.graphs._kernel.bfs_levels` pass
-   per core over a shared scratch mask (the
-   :func:`~repro.core.carving.carve_block` allocation pattern: ``O(n)``
-   once per scale, not per cluster).  Because cores partition ``V`` and
+   per core over a shared scratch mask (``O(n)`` allocated once per
+   scale, not per cluster).  Because cores partition ``V`` and
    ``v ∈ core(v)``, the ``W``-ball of every vertex is contained in its
    own core's cover cluster — the covering property is structural;
 2. **center BFS** — a deterministic pure-Python BFS from the cluster

@@ -37,8 +37,7 @@ def _root_hasher(root: int) -> "hashlib.blake2b":
 
 def _absorb(hasher, labels) -> None:
     for label in labels:
-        hasher.update(_SEPARATOR)
-        hasher.update(repr(label).encode("utf8"))
+        hasher.update(_SEPARATOR + repr(label).encode("utf8"))
 
 
 def _finish(hasher) -> int:
@@ -79,11 +78,14 @@ def seed_prefix(root: int, *labels: object) -> Callable[..., int]:
     """
     prefix = _root_hasher(root)
     _absorb(prefix, labels)
+    copy, from_bytes, separator, mask = prefix.copy, int.from_bytes, _SEPARATOR, _MASK_63
 
     def derive(*suffix: object) -> int:
-        hasher = prefix.copy()
-        _absorb(hasher, suffix)
-        return _finish(hasher)
+        # _absorb and _finish, inlined through bound locals.
+        hasher = copy()
+        for label in suffix:
+            hasher.update(separator + repr(label).encode("utf8"))
+        return from_bytes(hasher.digest(), "big") & mask
 
     return derive
 

@@ -9,6 +9,7 @@ import pytest
 from repro.core.carving import TopTwo, broadcast_reach, carve_block
 from repro.errors import ParameterError
 from repro.graphs import Graph, cycle_graph, path_graph, star_graph
+from tests.graphs.test_kernel_equivalence import kernel_backend  # noqa: F401 (fixture)
 
 
 class TestTopTwo:
@@ -77,6 +78,30 @@ class TestBroadcastReach:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             broadcast_reach(-0.1, None)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_rejected(self, radius):
+        with pytest.raises(ParameterError, match="finite"):
+            broadcast_reach(radius, 3)
+
+
+class TestCarveValidation:
+    """Both carves (``kernel_backend``: numpy flood, BFS) reject bad
+    input with the same typed error."""
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.5])
+    def test_invalid_radius(self, kernel_backend, radius):
+        with pytest.raises(ParameterError, match="radius must be"):
+            carve_block(path_graph(3), {0, 1, 2}, {0: 2.0, 1: radius, 2: 0.5})
+
+    @pytest.mark.parametrize("vertex", [2, 3, -1])
+    def test_radius_for_inactive_vertex(self, kernel_backend, vertex):
+        with pytest.raises(ParameterError, match=f"inactive vertex {vertex}"):
+            carve_block(path_graph(3), {0, 1}, {0: 1.0, vertex: 1.0})
+
+    def test_inactive_vertex_reported_before_bad_radius(self, kernel_backend):
+        with pytest.raises(ParameterError, match="inactive vertex 2"):
+            carve_block(path_graph(3), {0, 1}, {0: math.nan, 2: 1.0})
 
 
 class TestCarveBlock:

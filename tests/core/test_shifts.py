@@ -13,6 +13,7 @@ from repro.core.shifts import (
     sample_radius,
 )
 from repro.errors import ParameterError
+from repro.graphs import ActiveSet
 
 
 class TestSampleRadius:
@@ -60,6 +61,14 @@ class TestSamplePhaseRadii:
         radii = sample_phase_radii(5, 2, [0, 1], 0.8)
         assert radii[0] == sample_radius(5, 2, 0, 0.8)
         assert radii[1] == sample_radius(5, 2, 1, 0.8)
+        active = ActiveSet.from_iterable(400, range(3, 400, 2))
+        for phase in (1, 2, 7):
+            for beta in (0.3, 1.0, 2.5):
+                for vertices in (range(300), active):
+                    radii = sample_phase_radii(11, phase, vertices, beta)
+                    assert list(radii.items()) == [
+                        (v, sample_radius(11, phase, v, beta)) for v in vertices
+                    ]
 
 
 class TestTruncationEvents:
