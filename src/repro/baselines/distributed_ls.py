@@ -31,7 +31,7 @@ from ..distributed.phases import DriverRun, PhaseNode, PhaseProtocol
 from ..errors import ParameterError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED
-from .linial_saks import sample_ls_radius
+from .linial_saks import sample_ls_phase_radii, sample_ls_radius
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import Telemetry
@@ -114,7 +114,7 @@ def decompose_distributed(
     )
 
     def draw(phase, active):
-        radii = {v: sample_ls_radius(seed, phase, v, p, k) for v in active}
+        radii = sample_ls_phase_radii(seed, phase, active, p, k)
         return radii, max(radii.values(), default=0) if adaptive_phase_length else k
 
     def batch(rounds, causal):

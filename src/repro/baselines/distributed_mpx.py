@@ -34,6 +34,7 @@ from ..distributed.phases import DriverRun, PhaseNode
 from ..errors import ParameterError, SimulationError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED, stream
+from .mpx import sample_shifts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import Telemetry
@@ -126,9 +127,7 @@ def partition_distributed(
         mode=mode,
     )
     n = graph.num_vertices
-    shifts = {
-        v: stream(seed, "mpx-shift", v).expovariate(beta) for v in range(n)
-    }
+    shifts = sample_shifts(graph, beta, seed)
     budget = max((math.floor(s) for s in shifts.values()), default=0)
     with run.span("partition", mode=mode, n=n) as run_span:
         if backend == "batch":

@@ -35,16 +35,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..core.decomposition import Cluster, NetworkDecomposition
 from ..errors import ParameterError, SimulationError
 from ..graphs.activeset import ActiveSet
 from ..graphs.graph import Graph
 from ..graphs.traversal import bfs_distances_bounded
-from ..rng import DEFAULT_SEED, stream
+from ..rng import DEFAULT_SEED, prefix_uniforms, stream
 
-__all__ = ["LSTrace", "sample_ls_radius", "ls_phase", "decompose"]
+__all__ = ["LSTrace", "sample_ls_radius", "sample_ls_phase_radii", "ls_phase", "decompose"]
 
 
 @dataclass
@@ -74,12 +74,34 @@ def sample_ls_radius(seed: int, phase: int, vertex: int, p: float, k: int) -> in
     paper's strong-diameter algorithm achieves, making the comparison in
     experiment E4 like-for-like.
     """
+    _check_geometric(p, k)
+    return _capped_geometric(stream(seed, "ls-radius", phase, vertex).random(), p, k)
+
+
+def sample_ls_phase_radii(
+    seed: int, phase: int, vertices: Iterable[int], p: float, k: int
+) -> dict[int, int]:
+    """Radii for all of ``vertices`` at ``phase`` (one independent draw each).
+
+    Bit-identical to calling :func:`sample_ls_radius` per vertex; the
+    ``(seed, "ls-radius", phase)`` streams are drawn through
+    :func:`repro.rng.prefix_uniforms`, as
+    :func:`repro.core.shifts.sample_phase_radii` draws its own.
+    """
+    _check_geometric(p, k)
+    uniforms = prefix_uniforms(seed, ("ls-radius", phase), vertices)
+    return {v: _capped_geometric(u, p, k) for v, u in uniforms}
+
+
+def _check_geometric(p: float, k: int) -> None:
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must be in (0, 1), got {p}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    u = stream(seed, "ls-radius", phase, vertex).random()
-    # Invert the geometric CDF: radius = max j with u < p^j, capped at k.
+
+
+def _capped_geometric(u: float, p: float, k: int) -> int:
+    """Invert the geometric CDF: the largest ``j ≤ k`` with ``u < pʲ``."""
     radius = 0
     survive = p  # Pr[r > radius] before the cap
     while radius < k and u < survive:
@@ -168,7 +190,7 @@ def decompose(
             raise SimulationError(
                 f"LS did not exhaust the graph within {max_phases} phases"
             )
-        radii = {v: sample_ls_radius(seed, phase, v, p, k) for v in active}
+        radii = sample_ls_phase_radii(seed, phase, active, p, k)
         block, center_of = ls_phase(graph, active, radii)
         by_center: dict[int, list[int]] = {}
         for x, center in center_of.items():

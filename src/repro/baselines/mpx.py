@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from ..core.decomposition import Cluster, NetworkDecomposition
 from ..errors import ParameterError
 from ..graphs.graph import Graph
-from ..rng import DEFAULT_SEED, stream
+from ..rng import DEFAULT_SEED, prefix_uniforms
 
 __all__ = ["MPXResult", "sample_shifts", "partition"]
 
@@ -69,12 +69,18 @@ class MPXResult:
 
 
 def sample_shifts(graph: Graph, beta: float, seed: int = DEFAULT_SEED) -> dict[int, float]:
-    """Draw ``δ_u ~ Exp(beta)`` for every vertex, from named streams."""
+    """Draw ``δ_u ~ Exp(beta)`` for every vertex, from named streams.
+
+    Bit-identical to ``stream(seed, "mpx-shift", u).expovariate(beta)``
+    per vertex (each node's own draw), with the streams drawn through
+    :func:`repro.rng.prefix_uniforms` and
+    :meth:`random.Random.expovariate` inlined.
+    """
     if beta <= 0:
         raise ParameterError(f"beta must be positive, got {beta}")
-    return {
-        u: stream(seed, "mpx-shift", u).expovariate(beta) for u in graph.vertices()
-    }
+    log = math.log
+    uniforms = prefix_uniforms(seed, ("mpx-shift",), graph.vertices())
+    return {u: -log(1.0 - x) / beta for u, x in uniforms}
 
 
 def partition(

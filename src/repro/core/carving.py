@@ -20,14 +20,11 @@ Steps 1–2 have two paths, picked at call time by the kernel switch
 no size threshold — the rule the batch engine's flood epoch follows:
 
 * **numpy** — all of the phase's broadcasts run as one multi-origin,
-  full-forwarding flood over the active set, built on the kernel's
-  flood-round helpers.  Each origin's flood is then exactly its bounded
-  BFS, and each round's arrivals fold into per-vertex top-two columns.
-  Floods of different origins never interact, so a round whose senders'
-  rows hold more than :data:`_SPLIT_FANOUT` candidates is split by
-  origin range and one half finished before the other: the result is
-  the same for any split, and memory stays bounded on small-diameter
-  graphs, where balls cover most of the graph.
+  full-forwarding flood over the active set, on the kernel's shared
+  round loop (:func:`~repro.graphs._kernel.flood`, which splits wide
+  rounds by origin range).  Each origin's flood is then exactly its
+  bounded BFS, and each round's arrivals fold into per-vertex top-two
+  columns.
 * **pure Python** — one bounded BFS per broadcast over a shared scratch
   mask, one :meth:`TopTwo.offer` per (vertex, origin) pair.  It is the
   reference the numpy path is tested against, and on the stdlib path it
@@ -53,8 +50,7 @@ from ..errors import ParameterError
 from ..graphs import _kernel
 from ..graphs._kernel import (
     bfs_levels,
-    drop_seen,
-    frontier_keys,
+    flood,
     numpy_enabled,
     run_argmax,
     run_heads,
@@ -64,14 +60,6 @@ from ..graphs.activeset import ActiveSet, blocked_from_active
 from ..graphs.graph import Graph
 
 __all__ = ["TopTwo", "PhaseOutcome", "carve_block", "broadcast_reach"]
-
-#: Largest fan-out (candidate arrivals) one round of the numpy carve's
-#: flood expands at once; a wider round is split by origin range.  It
-#: also caps the arrivals buffered per fold.  At this value the oracle
-#: build of ``gnp_fast:10000:0.0006`` peaks within 1 MB of the BFS
-#: carve's RSS (at 1 << 16, 3–6 MB above it) with no measurable cost in
-#: time (2-core x86-64, CPython 3.11, numpy 2.4).
-_SPLIT_FANOUT = 1 << 15
 
 
 @dataclass
@@ -272,13 +260,8 @@ def _carve_flood(graph, scratch, radii, range_cap, gap_threshold) -> PhaseOutcom
     """The numpy carve: every broadcast of the phase as one multi-origin,
     full-forwarding flood, folded into per-vertex top-two columns.
 
-    A round's column holds the keys ``w * n + o`` of the entries that
-    travel on: origin ``o``'s whole BFS level, while ``o``'s reach lasts.
-    Its arrivals that repeat the last two columns are dropped, which
-    leaves each origin's next BFS level.  A column whose senders' rows
-    hold more than :data:`_SPLIT_FANOUT` candidates is split by origin
-    range, its previous column with it, and the lower half runs to the
-    end before the upper half starts.
+    Keys are ``w * n + o``.  Round ``d`` delivers origin ``o``'s BFS
+    level ``d``, which travels on while ``o``'s reach lasts.
     """
     np = _kernel._np
     n = graph.num_vertices
@@ -302,29 +285,14 @@ def _carve_flood(graph, scratch, radii, range_cap, gap_threshold) -> PhaseOutcom
     value = np.zeros(n)
     value[vertices] = radius
     fold = _TopTwoColumns(n, vertices, radius)
-    indptr, indices = graph._numpy_csr()
+
+    def arrive(keys, distance):
+        o = keys % n
+        fold.add(keys, value[o] - distance)
+        return keys[reach[o] > distance]
+
     own = vertices[reach[vertices] >= 1]
-    pending = [(own * n + own, own[:0], 1)]
-    while pending:
-        column, previous, distance = pending.pop()
-        while len(column):
-            senders, origins = np.divmod(column, n)
-            fanout = int((indptr[senders + 1] - indptr[senders]).sum())
-            if fanout > _SPLIT_FANOUT:
-                low, high = int(origins.min()), int(origins.max())
-                if low < high:
-                    middle = (low + high + 1) // 2
-                    upper = origins >= middle
-                    earlier = previous % n >= middle
-                    pending.append((column[upper], previous[earlier], distance))
-                    column, previous = column[~upper], previous[~earlier]
-                    continue
-            keys = frontier_keys(indptr, indices, live, senders, origins)
-            keys = drop_seen(keys, (column, previous))
-            o = keys % n
-            fold.add(keys, value[o] - distance)
-            previous, column = column, keys[reach[o] > distance]
-            distance += 1
+    flood(*graph._numpy_csr(), live, own * n + own, n, arrive)
     return fold.outcome(vertices, gap_threshold)
 
 
@@ -334,8 +302,9 @@ class _TopTwoColumns:
     Arrivals are buffered and folded in under the records' order — the
     larger value wins, the smaller origin on ties — so the columns match
     :meth:`TopTwo.offer` for any order and split of the arrivals.  The
-    buffer is folded once it holds more than :data:`_SPLIT_FANOUT`
-    arrivals, which on small graphs means once per carve.
+    buffer is folded once it holds more than the kernel's
+    :data:`~repro.graphs._kernel._SPLIT_FANOUT` arrivals, which on small
+    graphs means once per carve.
     """
 
     def __init__(self, n: int, vertices, radius) -> None:
@@ -361,7 +330,7 @@ class _TopTwoColumns:
             self.keys.append(keys)
             self.shifted.append(shifted)
             self.buffered += len(keys)
-            if self.buffered > _SPLIT_FANOUT:
+            if self.buffered > _kernel._SPLIT_FANOUT:
                 self._fold()
 
     def _fold(self) -> None:

@@ -53,8 +53,16 @@ class Bounds:
 def _check_common(n: int, c: float, min_c: float) -> None:
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if c <= min_c:
-        raise ParameterError(f"c must be > {min_c}, got {c}")
+    # Written so that NaN fails too; infinity would overflow ``(cn)^{1/k}``.
+    if not min_c < c < math.inf:
+        raise ParameterError(f"c must be finite and > {min_c}, got {c}")
+
+
+def _check_at_least_one(name: str, value: float) -> None:
+    """Reject ``value < 1``, NaN and infinity (``k`` and ``λ`` feed
+    ``math.ceil`` / ``math.floor``, which raise on the last two)."""
+    if not 1 <= value < math.inf:
+        raise ParameterError(f"{name} must be finite and >= 1, got {value}")
 
 
 class PhaseSchedule:
@@ -94,8 +102,7 @@ class Theorem1Schedule(PhaseSchedule):
 
     def __post_init__(self) -> None:
         _check_common(self.n, self.c, 3.0)
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+        _check_at_least_one("k", self.k)
         cn = self.c * self.n
         object.__setattr__(
             self, "nominal_phases", max(1, math.ceil(cn ** (1.0 / self.k) * math.log(cn)))
@@ -131,8 +138,7 @@ class Theorem2Schedule(PhaseSchedule):
 
     def __post_init__(self) -> None:
         _check_common(self.n, self.c, 5.0)
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+        _check_at_least_one("k", self.k)
         cn = self.c * self.n
         num_stages = math.floor(math.log(self.n)) + 1 if self.n > 1 else 1
         lengths: list[int] = []
@@ -194,8 +200,7 @@ class Theorem3Schedule(Theorem1Schedule):
     def from_lambda(n: int, lam: int, c: float = 4.0) -> "Theorem3Schedule":
         """Build the schedule from the desired number of colours ``lam``."""
         _check_common(n, c, 3.0)
-        if lam < 1:
-            raise ParameterError(f"lambda must be >= 1, got {lam}")
+        _check_at_least_one("lambda", lam)
         cn = c * n
         k = cn ** (1.0 / lam) * math.log(cn)
         schedule = Theorem3Schedule(n=n, k=max(1.0, k), c=c, target_colors=lam)
@@ -235,8 +240,7 @@ def theorem2_bounds(n: int, k: float, c: float = 6.0) -> Bounds:
 
 def theorem3_bounds(n: int, lam: int, c: float = 4.0) -> Bounds:
     """Theorem 3's promised ``(D, χ, rounds, failure)`` for ``(n, λ, c)``."""
-    if lam < 1:
-        raise ParameterError(f"lambda must be >= 1, got {lam}")
+    _check_at_least_one("lambda", lam)
     _check_common(n, c, 3.0)
     cn = c * n
     k = cn ** (1.0 / lam) * math.log(cn)

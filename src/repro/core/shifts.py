@@ -17,12 +17,11 @@ Lemma 1 shows all such events are avoided with probability ``≥ 1 − 2/c``.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import ParameterError
-from ..rng import seed_prefix, stream
+from ..rng import prefix_uniforms, stream
 
 __all__ = ["sample_radius", "sample_phase_radii", "TruncationEvent", "find_truncation_events"]
 
@@ -57,26 +56,17 @@ def sample_phase_radii(
     """Radii for all of ``vertices`` at ``phase`` (one independent draw each).
 
     Bit-identical to calling :func:`sample_radius` per vertex, but the
-    whole-phase form amortises the stream derivation: the hash prefix
-    over ``(seed, "radius", phase)`` is computed once
-    (:func:`repro.rng.seed_prefix`), and a single reseeded
-    :class:`random.Random` replaces one fresh generator per draw.  At
+    whole-phase form amortises the stream derivation
+    (:func:`repro.rng.prefix_uniforms`: the ``(seed, "radius", phase)``
+    prefix is hashed once and one generator reseeded per draw) and
+    inlines the body of :meth:`random.Random.expovariate`.  At
     :math:`n \\approx 10^5` vertices per phase this is the driver's hot
-    loop (see ``benchmarks/bench_engine.py``).  The loop calls the
-    generator's C-level seed (``Random.seed`` only adds a type check and
-    resets ``gauss_next``, which ``expovariate`` never reads) and inlines
-    the body of :meth:`random.Random.expovariate`.
+    loop (see ``benchmarks/bench_engine.py``).
     """
     if beta <= 0:
         raise ParameterError(f"beta must be positive, got {beta}")
-    derive = seed_prefix(seed, "radius", phase)
-    rng = random.Random()
-    reseed, draw, log = super(random.Random, rng).seed, rng.random, math.log
-    radii: dict[int, float] = {}
-    for v in vertices:
-        reseed(derive(v))
-        radii[v] = -log(1.0 - draw()) / beta
-    return radii
+    log = math.log
+    return {v: -log(1.0 - u) / beta for v, u in prefix_uniforms(seed, ("radius", phase), vertices)}
 
 
 def find_truncation_events(

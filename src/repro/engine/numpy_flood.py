@@ -177,7 +177,9 @@ class NumpyFlood:
         senders, origins = column
         if len(senders) and engine.causal is not None:
             self._log_deliveries(senders)
-        keys = frontier_keys(self._indptr, self._indices, self._live, senders, origins)
+        keys = frontier_keys(
+            self._indptr, self._indices, self._live, senders, origins, self._n, drop_own=True
+        )
         if self.policy == "full":
             keys = drop_seen(keys, self._recent)
             self._recent = (keys, self._recent[0])

@@ -21,10 +21,12 @@ once against the flat CSR representation of
 
 The module also holds the numpy round of a *multi-origin* flood, one
 record per (vertex, origin) pair (:func:`frontier_keys`,
-:func:`drop_seen`), and the per-run reductions over its sorted keys
+:func:`drop_seen`), the full-forwarding round loop built on it
+(:func:`flood`), and the per-run reductions over its sorted keys
 (:func:`run_heads`, :func:`run_lengths`, :func:`run_argmax`).  The batch
-engine's :class:`~repro.engine.numpy_flood.NumpyFlood` and the
-centralized carve (:func:`~repro.core.carving.carve_block`) share them.
+engine's :class:`~repro.engine.numpy_flood.NumpyFlood` shares the round;
+the centralized carve (:func:`~repro.core.carving.carve_block`) and the
+oracle build (:func:`~repro.oracle.build.compact_scale`) share the loop.
 
 Determinism: both paths emit every BFS level **sorted ascending**, so
 results are bit-identical between backends, between runs, and between the
@@ -37,6 +39,7 @@ default, and any other value raises :class:`~repro.errors.ParameterError`.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import Sequence
 
 from ..errors import ParameterError
@@ -47,9 +50,11 @@ except ImportError:  # pragma: no cover - exercised on stdlib-only installs
     _np = None
 
 __all__ = [
+    "as_long_array",
     "bfs_levels",
     "backend_name",
     "drop_seen",
+    "flood",
     "frontier_keys",
     "gather_frontier_rows",
     "numpy_enabled",
@@ -75,6 +80,14 @@ if _MODE not in ("", "auto", "py"):
 
 USE_NUMPY = _np is not None and _MODE != "py"
 
+#: Largest fan-out (candidate arrivals) one round of :func:`flood`
+#: expands at once; a wider round is split by origin range.  The carve
+#: also caps the arrivals it buffers per fold with it.  At this value the
+#: oracle build of ``gnp_fast:10000:0.0006`` peaks within 1 MB of the BFS
+#: carve's RSS (at 1 << 16, 3–6 MB above it) with no measurable cost in
+#: time (2-core x86-64, CPython 3.11, numpy 2.4).
+_SPLIT_FANOUT = 1 << 15
+
 
 def numpy_enabled() -> bool:
     """Whether the vectorised expansion path is active."""
@@ -84,6 +97,13 @@ def numpy_enabled() -> bool:
 def backend_name() -> str:
     """Human-readable backend tag (``"numpy"`` or ``"python"``)."""
     return "numpy" if numpy_enabled() else "python"
+
+
+def as_long_array(values) -> array:
+    """A numpy integer array copied into a new ``array('l')`` column."""
+    column = array("l", [0]) * len(values)
+    _np.frombuffer(column, dtype=_np.dtype("l"))[:] = values
+    return column
 
 
 def gather_frontier_rows(np_indptr, np_indices, frontier):
@@ -108,28 +128,34 @@ def gather_frontier_rows(np_indptr, np_indices, frontier):
 
 
 # ----------------------------------------------------------------------
-# The multi-origin flood round and its per-run reductions.  A round's
-# state is a column of int64 keys ``w * n + o``, sorted by receiver,
-# then by origin.
+# The multi-origin flood round, its round loop and the per-run reductions.
+# A round's state is a column of int64 keys ``w * stride + o``, sorted by
+# receiver, then by origin.
 # ----------------------------------------------------------------------
 
 
-def frontier_keys(np_indptr, np_indices, live, senders, origins):
-    """The sorted, distinct keys ``w * n + o`` one round delivers.
+def frontier_keys(np_indptr, np_indices, live, senders, origins, stride, drop_own=False):
+    """The sorted, distinct keys ``w * stride + o`` one round delivers.
 
     Each sender ``senders[i]`` forwards origin ``origins[i]`` to its
-    whole CSR row; receivers outside ``live`` (a 0/1 array over the ``n``
-    vertices) and arrivals back at their own origin (``w == o``) are
-    dropped, and the remaining keys are sorted and deduplicated by
-    neighbour diff.
+    whole CSR row; receivers outside ``live`` (a 0/1 array over the
+    ``n`` vertices, or ``None`` for all of them) are dropped, and so,
+    with ``drop_own`` (origins that are vertices), are arrivals back at
+    their own origin (``w == o``).  The remaining keys are sorted and
+    deduplicated by neighbour diff.
     """
     receivers, fanout = gather_frontier_rows(np_indptr, np_indices, senders)
     if receivers is None:
         return _np.empty(0, dtype=_np.int64)
     origins = _np.repeat(origins, fanout)
-    keep = (live[receivers] != 0) & (receivers != origins)
-    keys = receivers[keep].astype(_np.int64, copy=False) * len(live)
-    keys += origins[keep]
+    keep = None if live is None else live[receivers] != 0
+    if drop_own:
+        own = receivers != origins
+        keep = own if keep is None else keep & own
+    if keep is not None:
+        receivers, origins = receivers[keep], origins[keep]
+    keys = receivers.astype(_np.int64, copy=False) * stride
+    keys += origins
     keys.sort()
     return keys[run_heads(keys)]
 
@@ -146,6 +172,53 @@ def drop_seen(keys, seen):
             at = recent.searchsorted(keys)
             keys = keys[recent.take(at, mode="clip") != keys]
     return keys
+
+
+def flood(np_indptr, np_indices, live, start, stride: int, arrive) -> bool:
+    """Run a multi-origin, full-forwarding flood from the key column ``start``.
+
+    Keys are ``w * stride + o``: vertex ``w`` holds origin ``o``'s entry;
+    ``start`` is sorted and ``live`` is as in :func:`frontier_keys`.
+    Round ``d = 1, 2, …`` expands the column of entries that travel on
+    and drops the arrivals that repeat the last two columns
+    (:func:`drop_seen`), which leaves each origin's BFS level ``d``.
+    ``arrive(keys, d)`` gets them, sorted, and returns the entries that
+    travel on, or ``None`` to stop the whole flood.  The levels stay
+    exact as long as what it keeps is decided per origin (the carve's
+    reach) or per key, the same way in every round (the oracle's
+    membership filter): the flood is then a BFS of each origin's own
+    subgraph.
+
+    A column whose senders' rows hold more than :data:`_SPLIT_FANOUT`
+    candidates is split by origin range, its previous column with it, and
+    the lower half runs to the end before the upper half starts.  Floods
+    of different origins never interact, so a split changes only how the
+    arrivals are grouped into calls; memory stays bounded on
+    small-diameter graphs, where floods cover most of the graph.  Returns
+    ``False`` when ``arrive`` stopped the flood, else ``True``.
+    """
+    pending = [(start, start[:0], 1)]
+    while pending:
+        column, previous, distance = pending.pop()
+        while len(column):
+            senders, origins = _np.divmod(column, stride)
+            fanout = int((np_indptr[senders + 1] - np_indptr[senders]).sum())
+            if fanout > _SPLIT_FANOUT:
+                low, high = int(origins.min()), int(origins.max())
+                if low < high:
+                    middle = (low + high + 1) // 2
+                    upper = origins >= middle
+                    earlier = previous % stride >= middle
+                    pending.append((column[upper], previous[earlier], distance))
+                    column, previous = column[~upper], previous[~earlier]
+                    continue
+            keys = frontier_keys(np_indptr, np_indices, live, senders, origins, stride)
+            travel = arrive(drop_seen(keys, (column, previous)), distance)
+            if travel is None:
+                return False
+            previous, column = column, travel
+            distance += 1
+    return True
 
 
 def run_heads(sorted_ids):

@@ -4,19 +4,36 @@ For each :class:`~repro.oracle.hierarchy.CoreLevel` of the pyramid and
 its cover radius ``W``, this module materialises the scale's cover and
 compacts it into :class:`~repro.oracle.tables.ScaleTables`:
 
-1. **fringe growth** — cover cluster ``j`` is ``N_W[core_j]``, grown
-   with one multi-source :func:`~repro.graphs._kernel.bfs_levels` pass
-   per core over a shared scratch mask (``O(n)`` allocated once per
-   scale, not per cluster).  Because cores partition ``V`` and
-   ``v ∈ core(v)``, the ``W``-ball of every vertex is contained in its
-   own core's cover cluster — the covering property is structural;
-2. **center BFS** — a deterministic pure-Python BFS from the cluster
-   center, restricted to the cluster's induced subgraph, records every
-   member's hop distance and BFS parent (the routing tree).  Restricting
-   to the cluster keeps distances conservative (never below the true
-   ``G``-distance), which is exactly what the stretch proof needs;
+1. **fringe growth** — cover cluster ``j`` is ``N_W[core_j]``, the
+   vertices within ``W`` hops of core ``j``.  Because cores partition
+   ``V`` and ``v ∈ core(v)``, the ``W``-ball of every vertex is contained
+   in its own core's cover cluster — the covering property is
+   structural;
+2. **center BFS** — a deterministic BFS from the cluster center,
+   restricted to the cluster's induced subgraph, records every member's
+   hop distance and BFS parent (the lowest-id neighbour one hop closer:
+   the routing tree).  Restricting to the cluster keeps distances
+   conservative (never below the true ``G``-distance), which is exactly
+   what the stretch proof needs;
 3. **compaction** — per-vertex membership slots are flattened into the
    vertex-major CSR columns the batched query engine reads.
+
+Steps 1–2 have two paths, picked at call time by the kernel switch
+(:func:`~repro.graphs._kernel.numpy_enabled`, i.e. ``REPRO_KERNEL``), and
+both give byte-identical tables:
+
+* **numpy** — each step is one multi-origin flood on the kernel's shared
+  round loop (:func:`~repro.graphs._kernel.flood`, the centralized
+  carve's), with one origin per cover cluster and keys ``v · C + r`` for
+  vertex ``v`` in the cluster of rank ``r``, one of ``C``.  The fringe
+  flood starts from every vertex in its own core's cluster; the center
+  flood starts from the centers and drops arrivals outside the cluster.
+  The sorted keys are already vertex-major, so compaction is a count and
+  a cumulative sum;
+* **pure Python** — one multi-source
+  :func:`~repro.graphs._kernel.bfs_levels` pass per core over a shared
+  scratch mask and one BFS per cluster (:func:`_cluster_bfs`).  It is the
+  reference the numpy path is tested against.
 
 Scales whose cover would exceed the membership budget
 (``overlap_budget × n`` slots) are *skipped*: on low-diameter graphs the
@@ -36,6 +53,14 @@ from array import array
 from typing import TYPE_CHECKING
 
 from ..errors import ParameterError, SimulationError
+from ..graphs import _kernel
+from ..graphs._kernel import (
+    as_long_array,
+    flood,
+    gather_frontier_rows,
+    numpy_enabled,
+    run_heads,
+)
 from ..graphs._kernel import bfs_levels as _kernel_bfs_levels
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED
@@ -99,6 +124,14 @@ def compact_scale(
     ``budget_entries`` (never for a component level, whose cover is the
     partition itself and costs exactly ``n`` slots).
     """
+    if numpy_enabled():
+        return _compact_flood(graph, level, radius, min_distance, budget_entries)
+    return _compact_bfs(graph, level, radius, min_distance, budget_entries)
+
+
+def _compact_bfs(graph, level, radius, min_distance, budget_entries) -> ScaleTables | None:
+    """The pure-Python compaction: one fringe BFS per core, one center BFS
+    per cluster."""
     n = graph.num_vertices
     num_cores = level.num_cores
     core_of = level.core_of
@@ -180,6 +213,121 @@ def compact_scale(
     )
 
 
+def _compact_flood(graph, level, radius, min_distance, budget_entries) -> ScaleTables | None:
+    """The numpy compaction: fringe growth and the center BFS as two
+    multi-origin floods with one origin per cover cluster.
+
+    A fringe round's arrivals are the next level of every core's
+    multi-source BFS; the count of entries only grows, so the flood stops
+    as soon as it passes the budget.  A center round's arrivals inside
+    their cluster are the members at that distance from its center.
+    """
+    np = _kernel._np
+    n = graph.num_vertices
+    num_clusters = level.num_cores
+    stride = max(num_clusters, 1)
+    indptr, indices = graph._numpy_csr()
+    core_of = np.asarray(level.core_of, dtype=np.int64)
+    # Canonical cluster ids, as on the Python path: cores ranked by their
+    # smallest member.
+    first = np.full(num_clusters, n, dtype=np.int64)
+    np.minimum.at(first, core_of, np.arange(n))
+    order = first.argsort()
+    rank = np.empty(num_clusters, dtype=np.int64)
+    rank[order] = np.arange(num_clusters)
+
+    budget = None if level.is_components else budget_entries
+    if budget is not None and n > budget:
+        return None
+    fringe_radius = None if level.is_components else radius
+    start = np.arange(n, dtype=np.int64) * stride + rank[core_of]
+    grown = [start]
+    entries = n
+
+    def grow(keys, distance):
+        nonlocal entries
+        grown.append(keys)
+        entries += len(keys)
+        if budget is not None and entries > budget:
+            return None
+        return keys if fringe_radius is None or distance < fringe_radius else keys[:0]
+
+    if fringe_radius is None or fringe_radius >= 1:
+        if not flood(indptr, indices, None, start, stride, grow):
+            return None
+    members = np.concatenate(grown)
+    members.sort()
+    del grown
+
+    centers = np.asarray(level.centers, dtype=np.int64)[order]
+    roots = centers * stride + np.arange(num_clusters)
+    roots.sort()
+    dist = np.full(len(members), -1, dtype=np.int64)
+    dist[members.searchsorted(roots)] = 0
+    ecc = np.zeros(num_clusters, dtype=np.int64)
+
+    def reach(keys, distance):
+        at = members.searchsorted(keys)
+        inside = members.take(at, mode="clip") == keys
+        dist[at[inside]] = distance
+        keys = keys[inside]
+        ecc[keys % stride] = distance
+        return keys
+
+    flood(indptr, indices, None, roots, stride, reach)
+    if (dist < 0).any():  # pragma: no cover - structural invariant
+        v, cluster = divmod(int(members[(dist < 0).argmax()]), stride)
+        raise SimulationError(
+            f"cover cluster {cluster} member {v} unreachable from its center"
+        )
+    vertex, cluster = np.divmod(members, stride)
+    parent = _center_parents(indptr, indices, members, vertex, cluster, dist, stride)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vertex, minlength=n), out=offsets[1:])
+    return ScaleTables(
+        radius=radius,
+        min_distance=min_distance,
+        is_components=level.is_components,
+        centers=as_long_array(centers),
+        ecc=as_long_array(ecc),
+        indptr=as_long_array(offsets),
+        member_cluster=as_long_array(cluster),
+        member_dist=as_long_array(dist),
+        member_parent=as_long_array(parent),
+    )
+
+
+def _center_parents(indptr, indices, members, vertex, cluster, dist, stride):
+    """Every member's routing parent: its lowest-id neighbour in the same
+    cluster one hop closer to the center (``-1`` at the center) — the
+    first discoverer of :func:`_cluster_bfs`, whose levels are sorted.
+
+    Members are taken in slices whose rows hold about
+    :data:`~repro.graphs._kernel._SPLIT_FANOUT` candidates, so memory stays
+    bounded like the floods'.
+    """
+    np = _kernel._np
+    parent = np.full(len(members), -1, dtype=np.int64)
+    pending = np.flatnonzero(dist > 0)
+    load = np.cumsum(indptr[vertex[pending] + 1] - indptr[vertex[pending]])
+    low = 0
+    while low < len(pending):
+        done = load[low - 1] if low else 0
+        high = max(int(load.searchsorted(done + _kernel._SPLIT_FANOUT, "right")), low + 1)
+        chunk = pending[low:high]
+        rows, counts = gather_frontier_rows(indptr, indices, vertex[chunk])
+        candidates = rows * stride + np.repeat(cluster[chunk], counts)
+        at = members.searchsorted(candidates)
+        closer = members.take(at, mode="clip") == candidates
+        closer &= dist.take(at, mode="clip") == np.repeat(dist[chunk] - 1, counts)
+        # Rows are sorted, so each member's first closer neighbour is its
+        # lowest-id one; every member past the center has one.
+        owner = np.repeat(np.arange(len(chunk)), counts)[closer]
+        parent[chunk] = rows[closer][run_heads(owner)]
+        low = high
+    return parent
+
+
 def build_oracle(
     graph: Graph,
     k: float | None = None,
@@ -221,9 +369,10 @@ def build_oracle(
         Fine-to-coarse scales, terminated by the component cover.
     """
     n = graph.num_vertices
-    if overlap_budget < 1:
+    # Written so that NaN fails too; infinity would overflow the slot budget.
+    if not 1 <= overlap_budget < math.inf:
         raise ParameterError(
-            f"overlap_budget must be >= 1, got {overlap_budget}"
+            f"overlap_budget must be finite and >= 1, got {overlap_budget}"
         )
     if k is None:
         k = _default_k(n)

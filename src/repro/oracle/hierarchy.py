@@ -97,19 +97,14 @@ def coarsen_level(
     graph: Graph, level: CoreLevel, c: float, seed: int, depth: int
 ) -> CoreLevel:
     """Level ``depth``: decompose the supergraph of ``level`` and merge cores."""
-    quotient = quotient_graph(
-        graph,
-        {v: level.core_of[v] for v in graph.vertices()},
-        level.num_cores,
-    )
+    quotient = quotient_graph(graph, level.core_of, level.num_cores)
     k_q = _default_k(quotient.num_vertices)
     decomposition, _ = elkin_neiman.decompose(
         quotient, k=k_q, c=c, seed=derive_seed(seed, "oracle", "level", depth)
     )
     merged_of = decomposition.cluster_index_map()
-    core_of = array("l", bytes(array("l").itemsize * graph.num_vertices))
-    for v in graph.vertices():
-        core_of[v] = merged_of[level.core_of[v]]
+    merged = [merged_of[core] for core in range(level.num_cores)]
+    core_of = array("l", map(merged.__getitem__, level.core_of))
     centers: list[int] = []
     for cluster in decomposition.clusters:
         root = cluster.center

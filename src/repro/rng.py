@@ -18,9 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-__all__ = ["derive_seed", "seed_prefix", "stream", "spawn_seeds", "DEFAULT_SEED"]
+__all__ = [
+    "derive_seed",
+    "seed_prefix",
+    "prefix_uniforms",
+    "stream",
+    "spawn_seeds",
+    "DEFAULT_SEED",
+]
 
 DEFAULT_SEED = 0x5EED
 """Seed used by algorithms when the caller does not supply one."""
@@ -88,6 +95,28 @@ def seed_prefix(root: int, *labels: object) -> Callable[..., int]:
         return from_bytes(hasher.digest(), "big") & mask
 
     return derive
+
+
+def prefix_uniforms(
+    root: int, labels: tuple, suffixes: Iterable[object]
+) -> Iterator[tuple[object, float]]:
+    """Yield ``(s, stream(root, *labels, s).random())`` for each suffix ``s``.
+
+    The first uniform of every stream under one label prefix, as the
+    per-vertex samplers draw it, bit-identical to building each stream:
+    the prefix is hashed once (:func:`seed_prefix`) and a single
+    :class:`random.Random` is reseeded through its C-level seed
+    (``Random.seed`` only adds a type check and resets ``gauss_next``,
+    which ``random()`` never reads).  Each sampler turns the uniforms
+    into its own radii or shifts; this loop is their hot path at
+    :math:`n \\approx 10^5` draws per phase.
+    """
+    derive = seed_prefix(root, *labels)
+    rng = random.Random()
+    reseed, draw = super(random.Random, rng).seed, rng.random
+    for suffix in suffixes:
+        reseed(derive(suffix))
+        yield suffix, draw()
 
 
 def stream(root: int, *labels: object) -> random.Random:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines import linial_saks
 from repro.baselines.distributed_ls import decompose_distributed
-from repro.baselines.linial_saks import ls_phase, sample_ls_radius
+from repro.baselines.linial_saks import ls_phase, sample_ls_phase_radii, sample_ls_radius
 from repro.errors import ParameterError
 from repro.graphs import (
     Graph,
@@ -50,6 +50,20 @@ class TestRadiusSampling:
             sample_ls_radius(1, 1, 1, 1.0, 3)
         with pytest.raises(ParameterError):
             sample_ls_radius(1, 1, 1, 0.5, 0)
+
+    @pytest.mark.parametrize("phase", [1, 2, 7])
+    @pytest.mark.parametrize("p,k", [(0.05, 2), (0.3, 4), (0.8, 6), (0.95, 3)])
+    def test_phase_draws_equal_per_vertex_draws(self, phase, p, k):
+        vertices = list(range(0, 900, 3))
+        assert sample_ls_phase_radii(13, phase, vertices, p, k) == {
+            v: sample_ls_radius(13, phase, v, p, k) for v in vertices
+        }
+
+    def test_phase_draws_validate(self):
+        with pytest.raises(ParameterError):
+            sample_ls_phase_radii(1, 1, [0], 1.0, 3)
+        with pytest.raises(ParameterError):
+            sample_ls_phase_radii(1, 1, [0], 0.5, 0)
 
 
 class TestLSPhase:

@@ -20,6 +20,7 @@ from repro.graphs import (
     shortest_path,
     strong_diameter,
 )
+from repro.rng import stream
 
 
 class TestSampleShifts:
@@ -30,6 +31,14 @@ class TestSampleShifts:
     def test_bad_beta(self):
         with pytest.raises(ParameterError):
             mpx.sample_shifts(path_graph(3), 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 20160217])
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 2.0])
+    def test_equal_per_vertex_stream_draws(self, seed, beta):
+        g = Graph(400)
+        assert mpx.sample_shifts(g, beta, seed=seed) == {
+            u: stream(seed, "mpx-shift", u).expovariate(beta) for u in range(400)
+        }
 
 
 class TestPartition:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core import elkin_neiman
 from repro.core.params import (
     Theorem1Schedule,
     Theorem2Schedule,
@@ -15,6 +16,7 @@ from repro.core.params import (
     theorem3_bounds,
 )
 from repro.errors import ParameterError
+from repro.graphs import path_graph
 
 
 class TestTheorem1Schedule:
@@ -39,6 +41,15 @@ class TestTheorem1Schedule:
             Theorem1Schedule(n=10, k=2, c=3.0)  # needs c > 3
         with pytest.raises(ParameterError):
             Theorem1Schedule(n=0, k=2, c=4.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError, match="k must be finite"):
+            Theorem1Schedule(n=10, k=bad, c=4.0)
+        with pytest.raises(ParameterError, match="c must be finite"):
+            Theorem1Schedule(n=10, k=2, c=bad)
+        with pytest.raises(ParameterError, match="k must be finite"):
+            theorem1_bounds(n=10, k=bad)
 
     def test_k_equals_ln_n_gives_polylog(self):
         n = 1024
@@ -93,6 +104,13 @@ class TestTheorem2Schedule:
         with pytest.raises(ParameterError):
             Theorem2Schedule(n=10, k=2, c=5.0)  # needs c > 5
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError, match="k must be finite"):
+            Theorem2Schedule(n=10, k=bad, c=6.0)
+        with pytest.raises(ParameterError, match="c must be finite"):
+            Theorem2Schedule(n=10, k=2, c=bad)
+
 
 class TestTheorem3Schedule:
     def test_from_lambda(self):
@@ -105,6 +123,15 @@ class TestTheorem3Schedule:
     def test_invalid_lambda(self):
         with pytest.raises(ParameterError):
             Theorem3Schedule.from_lambda(n=10, lam=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ParameterError, match="lambda must be finite"):
+            Theorem3Schedule.from_lambda(n=10, lam=bad)
+        with pytest.raises(ParameterError, match="c must be finite"):
+            Theorem3Schedule.from_lambda(n=10, lam=2, c=bad)
+        with pytest.raises(ParameterError, match="lambda must be finite"):
+            theorem3_bounds(10, bad)
 
 
 class TestBounds:
@@ -148,3 +175,11 @@ class TestBounds:
         b3 = theorem3_bounds(n, lam, c)
         assert b3.colors < theorem1_bounds(n, math.log(n), c).colors
         assert b3.diameter > theorem1_bounds(n, math.log(n), c).diameter
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"k": 4, "c": math.nan}, {"k": math.nan}, {"k": 4, "c": math.inf}]
+)
+def test_decompose_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ParameterError, match="must be finite"):
+        elkin_neiman.decompose(path_graph(6), **kwargs)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import linial_saks
-from repro.core import carving, elkin_neiman
+from repro.core import elkin_neiman
 from repro.core.carving import carve_block
 from repro.core.distributed_en import decompose_distributed
 from repro.graphs import (
@@ -185,7 +185,7 @@ def test_carve_origin_split_exact(inputs, split_fanout):
     never interact."""
     g, active, radii = inputs
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(carving, "_SPLIT_FANOUT", split_fanout)
+        patch.setattr(_kernel, "_SPLIT_FANOUT", split_fanout)
         split = _on_kernel(True, carve_block, g, active, radii)
     _assert_same_carve(split, _on_kernel(False, carve_block, g, active, radii))
 

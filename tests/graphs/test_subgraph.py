@@ -69,6 +69,15 @@ class TestQuotientGraph:
         with pytest.raises(GraphError):
             quotient_graph(path_graph(2), {0: 0, 1: 5}, 2)
 
+    def test_mapping_with_non_vertex_key_rejected(self):
+        # The right length, but vertex 3 (isolated) is keyed as 7.
+        with pytest.raises(GraphError, match="3 is missing"):
+            quotient_graph(Graph(4, [(0, 1), (1, 2)]), {0: 0, 1: 0, 2: 1, 7: 1}, 2)
+
+    def test_per_vertex_sequence_accepted(self):
+        q = quotient_graph(cycle_graph(4), [0, 1, 0, 1], 2)
+        assert q.num_edges == 1
+
 
 class TestRelabel:
     def test_reverse_path(self):

@@ -68,6 +68,9 @@ class TestQueryParity:
             assert a.member_cluster == b.member_cluster
             assert a.member_dist == b.member_dist
             assert a.member_parent == b.member_parent
+        assert len(oracle.scales) == len(pure_oracle.scales)
+        assert oracle.scales == pure_oracle.scales
+        assert oracle.skipped_radii == pure_oracle.skipped_radii
         # ...and so must every query surface.
         assert (
             pure_oracle.distances(pairs),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ParameterError
@@ -206,6 +208,9 @@ class TestBuildPolicy:
     def test_overlap_budget_validation(self):
         with pytest.raises(ParameterError, match="overlap_budget"):
             build_oracle(path_graph(4), overlap_budget=0.5)
+        for budget in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="overlap_budget"):
+                build_oracle(path_graph(4), overlap_budget=budget)
 
     def test_min_distance_chain_is_monotone(self):
         for name, graph in GRAPHS:

@@ -183,6 +183,15 @@ class TestOracleCommand:
         assert "stretch bound" in out
         assert "clusters" in out and "max_overlap" in out
 
+    @pytest.mark.parametrize(
+        "flags", [["--budget", "nan"], ["--budget", "inf"], ["-c", "nan"], ["-k", "nan"]]
+    )
+    def test_non_finite_parameter_is_a_usage_error(self, capsys, flags):
+        assert main(["oracle", "build", "torus:6:6", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert "Traceback" not in err
+
     def test_query_validates_and_writes_json(self, capsys, tmp_path):
         import json
 

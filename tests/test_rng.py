@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rng import DEFAULT_SEED, derive_seed, seed_prefix, spawn_seeds, stream
+from repro.rng import (
+    DEFAULT_SEED,
+    derive_seed,
+    prefix_uniforms,
+    seed_prefix,
+    spawn_seeds,
+    stream,
+)
 
 
 class TestSeedPrefix:
@@ -22,6 +29,19 @@ class TestSeedPrefix:
         derive = seed_prefix(1, "phase", 5)
         assert derive(10) == derive(10)
         assert derive(10) != derive(11)
+
+
+class TestPrefixUniforms:
+    def test_matches_first_draw_of_each_stream(self):
+        suffixes = [0, 1, 17, -4, "x", (1, 2), 17]
+        pairs = list(prefix_uniforms(7, ("radius", 3), suffixes))
+        assert pairs == [(s, stream(7, "radius", 3, s).random()) for s in suffixes]
+
+    def test_empty_prefix_and_no_suffixes(self):
+        assert list(prefix_uniforms(9, (), range(3))) == [
+            (v, stream(9, v).random()) for v in range(3)
+        ]
+        assert list(prefix_uniforms(9, ("a",), iter(()))) == []
 
 
 class TestDeriveSeed:
