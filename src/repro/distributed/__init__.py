@@ -10,13 +10,16 @@ form:
 * :class:`~repro.distributed.network.SyncNetwork` — the deterministic round
   engine with message delivery, halting, and bandwidth accounting;
 * :class:`~repro.distributed.metrics.NetworkStats` — rounds / messages /
-  words-per-edge-per-round measurements;
+  words-per-edge-per-round measurements, kept by the
+  :class:`~repro.distributed.metrics.RoundBooks` every engine (sync,
+  async and the columnar batch engine) extends;
 * :func:`~repro.distributed.message.payload_words` — the O(1)-words
   CONGEST cost model;
 * :class:`~repro.distributed.async_net.AsyncNetwork` + the α-synchronizer
-  (:mod:`~repro.distributed.synchronizer`) — the same node contract under
-  asynchronous delivery (:mod:`~repro.distributed.schedule`) and seeded
-  fault injection (:mod:`~repro.distributed.faults`); see ``docs/async.md``;
+  (:mod:`~repro.distributed.synchronizer`) — the same node contract and
+  the same core as ``SyncNetwork``, under asynchronous delivery
+  (:mod:`~repro.distributed.schedule`) and seeded fault injection
+  (:mod:`~repro.distributed.faults`); see ``docs/async.md``;
 * :mod:`~repro.distributed.phases` — the driver harness of the EN/LS/MPX
   protocols: backend validation, engine construction, telemetry wiring,
   the shared phase loop and the node-side phase state machine.
@@ -30,28 +33,14 @@ from .network import SyncNetwork
 from .node import Context, NodeAlgorithm
 from .schedule import Schedule, parse_schedule
 from .synchronizer import AlphaSynchronizer
-from .protocols import (
-    BFSTreeNode,
-    ConvergecastSumNode,
-    FloodNode,
-    LeaderElectionNode,
-    run_bfs_tree,
-    run_convergecast_sum,
-    run_flood,
-    run_leader_election,
-)
 
 __all__ = [
     "AlphaSynchronizer",
     "AsyncNetwork",
     "AsyncStats",
-    "BFSTreeNode",
     "Context",
-    "ConvergecastSumNode",
     "CrashWindow",
     "FaultPlan",
-    "FloodNode",
-    "LeaderElectionNode",
     "Message",
     "NetworkStats",
     "NodeAlgorithm",
@@ -60,8 +49,4 @@ __all__ = [
     "live_networks",
     "parse_schedule",
     "payload_words",
-    "run_bfs_tree",
-    "run_convergecast_sum",
-    "run_flood",
-    "run_leader_election",
 ]

@@ -35,12 +35,19 @@ min/max merges, see ``engine/broadcast.py``) are unaffected; a protocol
 that is not order-oblivious will diverge under non-FIFO schedules, which
 is precisely what the harness exists to detect.
 
-Bookkeeping parity: messages to halted receivers are dropped at flush
-and counted as sent (sync semantics); fault-dropped messages are also
-counted as sent, never delivered; messages to *crashed* receivers are
-dropped — or buffered for redelivery — at their delivery pulse.  Async-
-only counters live in :class:`AsyncStats`, never in ``NetworkStats``,
-so the stats equality the tier-1 equivalence suites assert stays exact.
+Shared core: contexts, the live list, the run loop, the introspection
+surface and the end-of-pulse flush — halt records, traffic stats, budget
+enforcement, round-stream rows — are
+:class:`~repro.distributed.network.NodeNetwork`'s, the same code the
+sync engine runs.  This module adds the pulse (fault transitions, event
+heap drain, α-synchronizer order) and the routing (drop coins, schedule
+delays, the adversary's round-stream columns).  Messages to halted
+receivers are dropped at flush and counted as sent (sync semantics);
+fault-dropped messages are also counted as sent, never delivered;
+messages to *crashed* receivers are dropped — or buffered for
+redelivery — at their delivery pulse.  Async-only counters live in
+:class:`AsyncStats`, never in ``NetworkStats``, so the stats equality
+the tier-1 equivalence suites assert stays exact.
 
 Every live instance registers in a module-level weak set; the suite-wide
 leak guard in ``tests/conftest.py`` fails any test that abandons a
@@ -51,18 +58,17 @@ opt a deliberately-abandoned network out).
 from __future__ import annotations
 
 import weakref
-from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..errors import CongestViolation, ParameterError, SimulationError
+from ..errors import ParameterError
 from ..graphs.graph import Graph
-from ..rng import DEFAULT_SEED, stream
+from ..rng import DEFAULT_SEED
 from .faults import FaultPlan
 from .message import Message
-from .metrics import NetworkStats
-from .node import Context, NodeAlgorithm
+from .network import NodeNetwork
+from .node import NodeAlgorithm
 from .schedule import Schedule, parse_schedule
 from .synchronizer import AlphaSynchronizer
 
@@ -113,7 +119,7 @@ class AsyncStats:
         }
 
 
-class AsyncNetwork:
+class AsyncNetwork(NodeNetwork):
     """Asynchronous message-passing simulator (see module docstring).
 
     Parameters match :class:`SyncNetwork` plus:
@@ -124,6 +130,11 @@ class AsyncNetwork:
     faults:
         A :mod:`.faults` spec string (or :class:`FaultPlan`), or
         ``None`` for a fault-free run.
+
+    ``_pending`` is the event heap: ``(arrival_time, order, seq,
+    send_time, Message)`` entries, all tagged for the next pulse and
+    drained fully per step.  ``seq`` is unique, so the trailing fields
+    never get compared.
     """
 
     def __init__(
@@ -137,22 +148,8 @@ class AsyncNetwork:
         delivery: "str | Schedule | None" = "fifo",
         faults: "str | FaultPlan | None" = None,
     ) -> None:
-        self.graph = graph
+        super().__init__(graph, algorithms, seed, word_budget, rounds, causal)
         n = graph.num_vertices
-        if callable(algorithms):
-            self._algorithms = [algorithms(v) for v in range(n)]
-        else:
-            self._algorithms = list(algorithms)
-        if len(self._algorithms) != n:
-            raise SimulationError(
-                f"need one algorithm per vertex: got {len(self._algorithms)} for n={n}"
-            )
-        # Node contexts are identical to the sync engine's — same private
-        # rng streams, so node-local randomness cannot depend on backend.
-        self._contexts = [
-            Context(self, v, graph.neighbors(v), stream(seed, "node", v))
-            for v in range(n)
-        ]
         self._schedule = parse_schedule(delivery, seed)
         self._faults = FaultPlan.parse(faults)
         if self._faults is not None:
@@ -162,37 +159,20 @@ class AsyncNetwork:
                         f"crash window names node {window.node}, graph has n={n}"
                     )
             self._faults.reset(seed)
-        self._word_budget = word_budget
-        self._rounds = rounds
-        self._causal = causal
-        self._extras_enabled = rounds is not None and (
-            self._schedule.bound > 0 or self._faults is not None
-        )
+        # The adversary's round-stream columns and causal timing extras
+        # share one gate: fault-free FIFO rows stay identical to the sync
+        # engine's.
+        adversarial = self._schedule.bound > 0 or self._faults is not None
+        self._extras_enabled = rounds is not None and adversarial
         if self._extras_enabled:
             rounds.enable_extras(*EXTRA_ROUND_KEYS)
-        # Causal timing extras obey the same gate as the round-stream
-        # adversary columns: fault-free FIFO logs stay row-identical to
-        # the sync engine's.
-        if causal is not None and (
-            self._schedule.bound > 0 or self._faults is not None
-        ):
+        if causal is not None and adversarial:
             causal.enable_extras()
         self._synchronizer = AlphaSynchronizer(graph)
-        self._live: list[int] = list(range(n))
-        self._halted_seen: set[int] = set()
         self._crashed: set[int] = set()
-        self._outbox: list[Message] = []
-        #: Event queue: (arrival_time, order, seq, send_time, Message) —
-        #: every entry is tagged for the next pulse; the heap drains
-        #: fully per step.  ``seq`` is unique, so the trailing fields
-        #: never get compared.
-        self._events: list[tuple[float, int, int, float, Message]] = []
         self._redelivery: dict[int, list[Message]] = {}
         self._seq = 0
-        self._round = 0
-        self._started = False
         self.closed = False
-        self.stats = NetworkStats()
         self.async_stats = AsyncStats()
         self._round_delayed = 0
         self._round_dropped = 0
@@ -200,38 +180,21 @@ class AsyncNetwork:
         _REGISTRY.add(self)
 
     # ------------------------------------------------------------------
-    # Introspection (SyncNetwork-compatible surface)
+    # Introspection beyond the shared surface
     # ------------------------------------------------------------------
-    @property
-    def current_round(self) -> int:
-        """The pulse currently executing (0 before/during ``on_start``)."""
-        return self._round
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._algorithms)
-
-    def algorithm(self, v: int) -> NodeAlgorithm:
-        return self._algorithms[v]
-
-    def context(self, v: int) -> Context:
-        return self._contexts[v]
-
-    def halted(self, v: int) -> bool:
-        return self._contexts[v].halted
-
     def crashed(self, v: int) -> bool:
         """Whether node ``v`` is currently down (crashed, not halted)."""
         return v in self._crashed
 
     @property
-    def all_halted(self) -> bool:
-        return all(ctx.halted for ctx in self._contexts)
-
-    @property
     def messages_in_flight(self) -> int:
-        """Undelivered messages: scheduled events + redelivery buffers."""
-        return len(self._events) + sum(
+        """Undelivered messages: scheduled events + redelivery buffers.
+
+        Redelivery buffers parked at permanently-crashed nodes do not
+        keep :meth:`run_until_quiet` alive (they can never drain); they
+        still count here and trip the leak guard.
+        """
+        return len(self._pending) + sum(
             len(buffer) for buffer in self._redelivery.values()
         )
 
@@ -263,24 +226,12 @@ class AsyncNetwork:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Run every node's ``on_start`` callback (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for v, algorithm in enumerate(self._algorithms):
-            ctx = self._contexts[v]
-            if not ctx.halted:
-                algorithm.on_start(ctx)
-        self._flush_outbox()
-
     def step(self) -> None:
         """Execute one pulse (= one logical synchronous round)."""
         if not self._started:
             self.start()
-        self._round += 1
-        self.stats.rounds += 1
-        pulse = self._round
+        self.begin_round()
+        pulse = self.round
         inboxes = self._apply_faults_and_deliver(pulse)
         arrivals = {v: inbox[-1][0] for v, inbox in inboxes.items() if inbox}
         executing = [
@@ -296,79 +247,48 @@ class AsyncNetwork:
         any_halted = len(executing) < len(self._live) and any(
             self._contexts[v].halted for v in self._live
         )
-        for _ready, v in order:
+        causal = self.causal
+        for ready, v in order:
             ctx = self._contexts[v]
             entries = inboxes.get(v, ())
             inbox = [message for _time, _sent, message in entries]
-            self.stats.messages_delivered += len(inbox)
-            if self._causal is not None and entries:
-                self._log_deliveries(v, _ready, entries)
+            self.deliver(len(inbox))
+            if causal is not None and entries:
+                if causal.extras_enabled:
+                    self._log_timed_deliveries(v, ready, entries)
+                else:
+                    self._log_deliveries(v, inbox)
             self._algorithms[v].on_round(ctx, inbox)
             if ctx.halted:
                 any_halted = True
         if any_halted:
-            self._live = [v for v in self._live if not self._contexts[v].halted]
+            self._prune()
         self._flush_outbox()
-
-    def run_rounds(self, count: int) -> None:
-        """Execute exactly ``count`` pulses."""
-        for _ in range(count):
-            self.step()
-
-    def run_until_quiet(self, max_rounds: int = 1_000_000) -> int:
-        """Run until the event queue is empty or everyone has halted.
-
-        Redelivery buffers parked at permanently-crashed nodes do not
-        keep the loop alive (they can never drain); they still count in
-        :attr:`messages_in_flight` and trip the leak guard.
-        """
-        if not self._started:
-            self.start()
-        executed = 0
-        while self._events and not self.all_halted:
-            if executed >= max_rounds:
-                raise SimulationError(
-                    f"network not quiet after {max_rounds} rounds"
-                )
-            self.step()
-            executed += 1
-        return executed
-
-    def finish_rounds(self) -> None:
-        """Flush the final round to an attached round stream."""
-        if self._rounds is not None:
-            live = sum(1 for ctx in self._contexts if not ctx.halted)
-            self._rounds.end_round(self._round, self.stats, live)
 
     # ------------------------------------------------------------------
     # Engine internals
     # ------------------------------------------------------------------
-    def _log_deliveries(
+    def _log_timed_deliveries(
         self,
         v: int,
         ready: float,
         entries: "Sequence[tuple[float, float, Message]]",
     ) -> None:
-        """Causal edges for one delivered inbox, in arrival order.
+        """Causal edges for one delivered inbox, with the timing extras.
 
-        Consecutive ``(sender, sent_round)`` runs aggregate into one
-        edge record — under FIFO with no faults the arrival order *is*
-        the sync engine's sender-sorted order, so the logs coincide
-        row for row.  On adversarial runs each record carries the
-        timing extras; a sentinel arrival of ``0.0`` marks a
-        redelivered (crash-buffered) edge.
+        Consecutive ``(sender, sent_round)`` runs of the arrival order
+        aggregate into one edge record, as in the sync engine's log
+        (which is what fault-free FIFO runs write); each record here also
+        carries the send, arrival and ready times.  A sentinel arrival of
+        ``0.0`` marks a redelivered (crash-buffered) edge.
         """
-        causal = self._causal
-        extras = causal.extras_enabled
+        causal = self.causal
         arrival, send_time, message = entries[0]
         sender, sent_round = message.sender, message.sent_round
         last_arrival, count = arrival, 0
-        pulse = self._round
+        pulse = self.round
 
         def flush() -> None:
-            if not extras:
-                causal.message(sender, sent_round, v, pulse, count)
-                return
             fault = (
                 self._faults.buffered_rounds(sent_round, pulse)
                 if last_arrival == 0.0 and self._faults is not None
@@ -431,8 +351,8 @@ class AsyncNetwork:
                             (0.0, float(message.sent_round), message)
                             for message in buffered
                         ]
-        while self._events:
-            arrival, _order, _seq, send_time, message = heappop(self._events)
+        while self._pending:
+            arrival, _order, _seq, send_time, message = heappop(self._pending)
             v = message.receiver
             if v in self._crashed:
                 if plan is not None and plan.redeliver:
@@ -452,53 +372,18 @@ class AsyncNetwork:
             inbox.append((arrival, send_time, message))
         return inboxes
 
-    def _enqueue(self, message: Message) -> None:
-        self._outbox.append(message)
+    def _route(self, outbox: "list[Message]") -> None:
+        """Schedule surviving messages as delivery events for the next pulse.
 
-    def _flush_outbox(self) -> None:
-        """End-of-pulse accounting + event scheduling.
-
-        The bookkeeping sequence (halt detection, causal halt records,
-        traffic stats, budget enforcement, round-stream emission,
-        halted-receiver drops) replicates ``SyncNetwork._flush_outbox``
-        operation for operation — under a FIFO schedule with no faults
-        the two engines keep literally the same books.
+        Drop coins are rolled here, in send order, *after* the bandwidth
+        accounting: a lost message still crossed the wire.
         """
-        newly_halted: list[int] = []
-        if self._rounds is not None or self._causal is not None:
-            for v, ctx in enumerate(self._contexts):
-                if ctx.halted and v not in self._halted_seen:
-                    self._halted_seen.add(v)
-                    newly_halted.append(v)
-        if self._causal is not None:
-            for v in newly_halted:
-                self._causal.halt(v, self._round)
-        edge_words: dict[tuple[int, int], int] = defaultdict(int)
-        for message in self._outbox:
-            self.stats.messages_sent += 1
-            self.stats.words_sent += message.words
-            key = (message.sender, message.receiver)
-            edge_words[key] += message.words
-        if edge_words:
-            peak = max(edge_words.values())
-            self.stats.max_words_per_edge_round = max(
-                self.stats.max_words_per_edge_round, peak
-            )
-            if self._word_budget is not None and peak > self._word_budget:
-                offender = max(edge_words, key=edge_words.get)
-                raise CongestViolation(
-                    f"edge {offender} carried {edge_words[offender]} words in round "
-                    f"{self._round}, budget is {self._word_budget}"
-                )
-        # Schedule surviving messages as delivery events for the next
-        # pulse.  Drop coins are rolled here, in send order, *after* the
-        # bandwidth accounting: a lost message still crossed the wire.
         plan, sched, clocks = self._faults, self._schedule, self._synchronizer.clocks
-        for message in self._outbox:
+        for message in outbox:
             if self._contexts[message.receiver].halted:
                 continue  # sync semantics: counted as sent, silently dropped
             if plan is not None and plan.drops(
-                message.sender, message.receiver, self._round
+                message.sender, message.receiver, self.round
             ):
                 self.async_stats.dropped += 1
                 self._round_dropped += 1
@@ -506,13 +391,13 @@ class AsyncNetwork:
             seq = self._seq
             self._seq += 1
             delay, order = sched.assign(
-                message.sender, message.receiver, self._round, seq
+                message.sender, message.receiver, self.round, seq
             )
             if delay > 0.0:
                 self.async_stats.delayed += 1
                 self._round_delayed += 1
             heappush(
-                self._events,
+                self._pending,
                 (
                     clocks[message.sender] + 1.0 + delay,
                     order,
@@ -521,19 +406,10 @@ class AsyncNetwork:
                     message,
                 ),
             )
-        if self._rounds is not None:
-            if self._outbox:
-                self._rounds.note_frontier(
-                    len({message.sender for message in self._outbox})
-                )
-            self._rounds.note_halts(len(newly_halted))
-            if self._extras_enabled:
-                self._rounds.note_extras(
-                    delayed=self._round_delayed,
-                    dropped=self._round_dropped,
-                    reordered=self._round_reordered,
-                )
-            live = sum(1 for ctx in self._contexts if not ctx.halted)
-            self._rounds.end_round(self._round, self.stats, live)
+        if self._extras_enabled:
+            self.rounds.note_extras(
+                delayed=self._round_delayed,
+                dropped=self._round_dropped,
+                reordered=self._round_reordered,
+            )
         self._round_delayed = self._round_dropped = self._round_reordered = 0
-        self._outbox = []

@@ -26,7 +26,7 @@ from ..errors import SimulationError
 from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .network import SyncNetwork
+    from .network import NodeNetwork
 
 __all__ = ["Context", "NodeAlgorithm"]
 
@@ -34,15 +34,18 @@ __all__ = ["Context", "NodeAlgorithm"]
 class Context:
     """A node's handle on the simulated network.
 
-    Instances are created by :class:`~repro.distributed.network.SyncNetwork`
-    — algorithms never construct one.
+    Instances are created by the engine running the node — a
+    :class:`~repro.distributed.network.SyncNetwork` or an
+    :class:`~repro.distributed.async_net.AsyncNetwork`, both built on
+    :class:`~repro.distributed.network.NodeNetwork` — algorithms never
+    construct one.
     """
 
     __slots__ = ("_network", "_node_id", "_neighbors", "_rng", "_halted")
 
     def __init__(
         self,
-        network: "SyncNetwork",
+        network: "NodeNetwork",
         node_id: int,
         neighbors: tuple[int, ...],
         rng: random.Random,

@@ -11,9 +11,10 @@ per-vertex arrays and the CSR buffers of
 * :mod:`~repro.engine.primitives` — the ``gather_sum`` neighbour
   reduction behind ``live_degrees``; numpy-accelerated with a
   bit-identical pure-Python fallback (``REPRO_KERNEL=py``);
-* :mod:`~repro.engine.core` — :class:`BatchEngine`: rounds, halt mask,
-  :class:`~repro.distributed.metrics.NetworkStats` accounting, CONGEST
-  ``word_budget`` enforcement, round streams and causal logs;
+* :mod:`~repro.engine.core` — :class:`BatchEngine`: a halt mask over the
+  :class:`~repro.distributed.metrics.RoundBooks` the reference engines
+  keep too (rounds, :class:`~repro.distributed.metrics.NetworkStats`,
+  CONGEST ``word_budget`` enforcement, round streams and causal halts);
 * :mod:`~repro.engine.broadcast` — the shifted-value flood epoch shared
   by the decomposition protocols: :class:`ShiftedFlood`, the stdlib
   per-message loop, and the live-set and announce-round plumbing around

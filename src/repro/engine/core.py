@@ -1,13 +1,16 @@
 """The batch-synchronous round engine core.
 
 :class:`BatchEngine` is the columnar counterpart of
-:class:`~repro.distributed.network.SyncNetwork`: it owns the round
-counter, the halt mask, the :class:`~repro.distributed.metrics.NetworkStats`
-accumulator, CONGEST budget enforcement and the two optional telemetry
-subscribers — but it never materialises per-message objects.  Protocols
-report each round's traffic in aggregate (message count, word count, the
-peak per-directed-edge word load and the offending edge), which is all
-the simulator-level bookkeeping ever consumed.
+:class:`~repro.distributed.network.SyncNetwork`.  Both extend the same
+:class:`~repro.distributed.metrics.RoundBooks` — round counter,
+:class:`~repro.distributed.metrics.NetworkStats`, CONGEST budget
+enforcement, causal halt records and round-stream rows — so the §1.1
+accounting exists once.  What the batch engine adds is the halt mask; it
+never materialises per-message objects.  Protocols report each round's
+traffic in aggregate (message count, word count, the peak
+per-directed-edge word load and the offending edge) through
+:meth:`~repro.distributed.metrics.RoundBooks.account_sends`, which is
+all the simulator-level bookkeeping ever consumed.
 
 Equivalence contract (pinned by ``tests/engine``): for every ported
 protocol, the engine's stats, round counts, round streams and causal
@@ -21,8 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..distributed.metrics import NetworkStats
-from ..errors import CongestViolation
+from ..distributed.metrics import RoundBooks
 from ..graphs.graph import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,29 +48,17 @@ def first_live_edge(graph: Graph, live, sender: int) -> tuple[int, int] | None:
     return None  # pragma: no cover - peak senders always have live fan-out
 
 
-class BatchEngine:
-    """Shared round/halt/stats state for columnar protocol simulations.
+class BatchEngine(RoundBooks):
+    """Round books plus a halt mask, for columnar protocol simulations.
 
-    Parameters
-    ----------
-    graph:
-        Communication topology.
-    word_budget:
-        Per-directed-edge, per-round word limit (CONGEST mode), or
-        ``None`` for the LOCAL model (unbounded but measured).
-    rounds:
-        Optional :class:`~repro.telemetry.rounds.RoundStream`; when
-        attached, the engine emits one per-round metrics row keyed
-        identically to the reference engine's.  Rounds are flushed
-        lazily at the next ``begin_round`` — callers must finish with
-        :meth:`finish_rounds` to emit the last one.
-    causal:
-        Optional :class:`~repro.telemetry.causality.CausalLog`; when
-        attached, protocols derive per-message parent edges from their
-        broadcast columns (the flood epoch scans each sender's live CSR
-        row) and the engine emits halt records —
-        row-identical to the reference engine's causal log on seeded
-        runs.
+    Parameters are :class:`~repro.distributed.metrics.RoundBooks`'s.
+    Round-stream rows are emitted lazily, at the next
+    :meth:`~repro.distributed.metrics.RoundBooks.begin_round`, so callers
+    must finish with ``finish_rounds()`` to emit the last one.  With a
+    causal log attached, protocols derive per-message parent edges from
+    their broadcast columns (the flood epoch scans each sender's live CSR
+    row) and :meth:`halt` writes the halt records — row-identical to the
+    reference engine's causal log on seeded runs.
     """
 
     def __init__(
@@ -78,81 +68,15 @@ class BatchEngine:
         rounds: "RoundStream | None" = None,
         causal: "CausalLog | None" = None,
     ) -> None:
-        self.graph = graph
-        self.word_budget = word_budget
-        self.rounds = rounds
-        self.causal = causal
-        self.stats = NetworkStats()
+        super().__init__(graph, word_budget, rounds, causal)
         self.halted = bytearray(graph.num_vertices)
-        self.num_live = graph.num_vertices
-        self.round = 0
 
-    # ------------------------------------------------------------------
-    # Round lifecycle
-    # ------------------------------------------------------------------
-    def begin_round(self) -> None:
-        """Advance to the next synchronous round (mirrors one ``step()``)."""
-        if self.rounds is not None and self.round:
-            self.rounds.end_round(self.round, self.stats, self.num_live)
-        self.round += 1
-        self.stats.rounds += 1
-
-    def finish_rounds(self) -> None:
-        """Flush the final round to an attached round stream (idempotent)."""
-        if self.rounds is not None and self.round:
-            self.rounds.end_round(self.round, self.stats, self.num_live)
-
-    def deliver(self, count: int) -> None:
-        """Record ``count`` messages handed to live receivers this round."""
-        self.stats.messages_delivered += count
-
-    def account_sends(
-        self,
-        messages: int,
-        words: int,
-        peak_words: int,
-        offender: tuple[int, int] | None = None,
-        senders: int = 0,
-    ) -> None:
-        """Record one round's aggregate outgoing traffic.
-
-        ``peak_words`` is the largest word total that crossed a single
-        directed edge this round; ``offender`` names such an edge (only
-        consulted when the budget is exceeded).  ``senders`` is the
-        number of distinct sending vertices — the round stream's
-        frontier column (protocols may pass 0 when no stream is
-        attached).  Raises :class:`CongestViolation` exactly when the
-        reference engine's flush would.
-        """
-        self.stats.messages_sent += messages
-        self.stats.words_sent += words
-        if senders and self.rounds is not None:
-            self.rounds.note_frontier(senders)
-        if peak_words > self.stats.max_words_per_edge_round:
-            self.stats.max_words_per_edge_round = peak_words
-        if self.word_budget is not None and peak_words > self.word_budget:
-            raise CongestViolation(
-                f"edge {offender} carried {peak_words} words in round "
-                f"{self.round}, budget is {self.word_budget}"
-            )
-
-    # ------------------------------------------------------------------
-    # Halting
-    # ------------------------------------------------------------------
     def halt(self, vertices: Iterable[int]) -> None:
-        """Mark ``vertices`` halted; logs causal halts in ascending order."""
-        rounds, causal = self.rounds, self.causal
-        if rounds is None and causal is None:
-            for v in vertices:
-                self.halted[v] = 1
-            return
-        newly = 0
-        for v in sorted(vertices) if causal is not None else vertices:
-            if not self.halted[v]:
-                newly += 1
-                if causal is not None:
-                    causal.halt(v, self.round)
-            self.halted[v] = 1
-        if rounds is not None:
-            self.num_live -= newly
-            rounds.note_halts(newly)
+        """Mark ``vertices`` halted; books the new halts in ascending order."""
+        halted = self.halted
+        newly = []
+        for v in sorted(vertices):
+            if not halted[v]:
+                halted[v] = 1
+                newly.append(v)
+        self.record_halts(newly)

@@ -14,15 +14,18 @@ event.  Two record shapes share the stream:
 * ``edge="halt"`` — ``node`` halted at the end of round ``round``.
 
 The log is the *provenance half* of the telemetry layer's round
-contract: the sync engine emits edges per receiver in ascending-id
-order with sender-sorted inboxes, and the batch engine derives the same
-edges from its per-(vertex, origin) broadcast columns, so fault-free
-runs of the two backends produce **row-identical** causal logs
-(``tests/telemetry/test_causality.py``).  The async engine emits edges
-in arrival order, which degenerates to the sync order under the FIFO
-schedule with no faults — and on adversarial runs it extends each edge
-with timing *extras* (gated exactly like the round stream's adversary
-columns, so fault-free FIFO logs stay bit-comparable):
+contract.  Halt records come from one place, the
+:class:`~repro.distributed.metrics.RoundBooks` every engine extends
+(``record_halts``, ascending node id within a round).  Edges come from
+where each engine delivers: the sync engine emits them per receiver in
+ascending-id order with sender-sorted inboxes, and the batch engine
+derives the same edges from its per-(vertex, origin) broadcast columns,
+so fault-free runs of the two backends produce **row-identical** causal
+logs (``tests/telemetry/test_causality.py``).  The async engine emits
+edges in arrival order, which degenerates to the sync order under the
+FIFO schedule with no faults — and on adversarial runs it extends each
+edge with timing *extras* (gated exactly like the round stream's
+adversary columns, so fault-free FIFO logs stay bit-comparable):
 
 * ``send_time`` — the sender's virtual clock when the message left;
 * ``arrive`` — the arrival time the delivery schedule assigned

@@ -1,8 +1,9 @@
 """Per-round metrics streams: one identically-keyed row per round.
 
 A :class:`RoundStream` subscribes to an engine —
-``SyncNetwork(rounds=...)`` or ``BatchEngine(..., rounds=...)`` — and
-emits one record per executed round with the keys of :data:`ROUND_KEYS`:
+``SyncNetwork(rounds=...)``, ``AsyncNetwork(rounds=...)`` or
+``BatchEngine(..., rounds=...)`` — and emits one record per executed
+round with the keys of :data:`ROUND_KEYS`:
 
 * ``round`` — the global round number (1-based; the sync engine's
   round-0 ``on_start`` flush is recorded only if it carried traffic);
@@ -19,10 +20,14 @@ sync/batch backends therefore produce row-identical streams on a seeded
 run (``tests/telemetry/test_rounds.py``), differing only in the
 ``backend`` attribute the driver stamps on the stream.
 
-Emission points differ per engine: the sync engine emits at the end of
-each round's outbox flush; the batch engine emits each round lazily at
-the *next* ``begin_round()`` plus an explicit ``finish_rounds()`` for
-the last round (the driver calls it once after the phase loop) —
+Every engine feeds the stream from one place, the
+:class:`~repro.distributed.metrics.RoundBooks` it extends: the books
+note each round's frontier (``account_sends``) and halts
+(``record_halts``) and emit its row.  Only the emission point differs:
+the sync and async engines emit at the end of each round's outbox
+flush; the batch engine emits each round lazily at the *next*
+``begin_round()`` plus an explicit ``finish_rounds()`` for the last
+round (the driver calls it once after the phase loop) —
 :meth:`RoundStream.end_round` is idempotent per round, so mixed calls
 never double-emit.
 

@@ -1,11 +1,11 @@
-"""Reusable distributed primitives on the synchronous simulator.
+"""Textbook distributed primitives that drive the simulators under test.
 
 Standard building blocks of LOCAL/CONGEST algorithmics, implemented as
 :class:`~repro.distributed.node.NodeAlgorithm` subclasses with driver
-helpers.  The decomposition protocols in :mod:`repro.core` inline their
-own variants for phase control; these standalone versions are the
-general-purpose substrate (and are exercised independently by the test
-suite, which keeps the simulator honest).
+helpers.  No library code calls them — the decomposition protocols in
+:mod:`repro.core` run their own phase machines — so they live with the
+tests, whose independent answers (BFS distances, sums, minimum ids) keep
+the sync and async engines honest.
 
 * :class:`FloodNode` / :func:`run_flood` — broadcast a token from a root;
   every vertex learns it in ``ecc(root)`` rounds.
@@ -23,11 +23,9 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from ..errors import SimulationError
-from ..graphs.graph import Graph
-from .message import Message
-from .network import SyncNetwork
-from .node import Context, NodeAlgorithm
+from repro.distributed import Context, Message, NodeAlgorithm, SyncNetwork
+from repro.errors import SimulationError
+from repro.graphs import Graph
 
 __all__ = [
     "FloodNode",

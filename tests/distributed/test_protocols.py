@@ -4,12 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributed import (
-    run_bfs_tree,
-    run_convergecast_sum,
-    run_flood,
-    run_leader_election,
-)
 from repro.graphs import (
     Graph,
     bfs_distances,
@@ -18,6 +12,12 @@ from repro.graphs import (
     grid_graph,
     path_graph,
     star_graph,
+)
+from tests.distributed.protocols import (
+    run_bfs_tree,
+    run_convergecast_sum,
+    run_flood,
+    run_leader_election,
 )
 
 
@@ -88,7 +88,7 @@ class TestLeaderElection:
         # run_until_quiet stops when no messages are in flight; the number
         # of rounds is at most diameter + 1 (information travel time).
         from repro.distributed import SyncNetwork
-        from repro.distributed.protocols import LeaderElectionNode
+        from tests.distributed.protocols import LeaderElectionNode
 
         network = SyncNetwork(g, lambda v: LeaderElectionNode(v))
         rounds = network.run_until_quiet()

@@ -28,9 +28,9 @@ import pytest
 from repro.baselines import distributed_ls, distributed_mpx
 from repro.core.distributed_en import decompose_distributed
 from repro.distributed import AsyncNetwork, SyncNetwork
-from repro.distributed.protocols import FloodNode
 from repro.graphs import erdos_renyi
 from repro.telemetry import Telemetry, lamport_timestamps
+from tests.distributed.protocols import FloodNode
 
 SEEDS = (3, 11, 29)
 SCHEDULES = ("fifo", "random:3", "random:2:geom", "latest:3", "starve:2:0.5")

@@ -20,20 +20,17 @@ import re
 import pytest
 
 from repro.core.distributed_en import decompose_distributed
-from repro.distributed import (
-    AsyncNetwork,
-    BFSTreeNode,
-    Context,
-    ConvergecastSumNode,
-    FloodNode,
-    LeaderElectionNode,
-    NodeAlgorithm,
-    SyncNetwork,
-    run_bfs_tree,
-)
+from repro.distributed import AsyncNetwork, Context, NodeAlgorithm, SyncNetwork
 from repro.errors import CongestViolation
 from repro.graphs import erdos_renyi, path_graph, random_connected, star_graph
 from repro.telemetry import Telemetry
+from tests.distributed.protocols import (
+    BFSTreeNode,
+    ConvergecastSumNode,
+    FloodNode,
+    LeaderElectionNode,
+    run_bfs_tree,
+)
 
 
 def _violation_message(fn) -> str | None:

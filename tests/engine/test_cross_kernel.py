@@ -7,7 +7,8 @@ On random small graphs — isolated vertices, a trailing isolated vertex
 and disconnected graphs included — both epochs and ``backend="sync"``
 must give the same cluster maps, per-phase round counts and
 :class:`NetworkStats`, or the same :class:`CongestViolation` text under a
-random ``word_budget``; traced, the two epochs must emit the same
+random ``word_budget`` — and so must ``backend="async"`` under the FIFO
+schedule with no faults; traced, the two epochs must emit the same
 round-stream rows and causal log.  Run directly on tied values, the two
 epochs must leave the same decision summaries.
 """
@@ -106,6 +107,8 @@ def test_epochs_match_each_other_and_sync(protocol, graph, seed, word_budget):
         python = _outcome(protocol, graph, seed, "batch", word_budget)
     reference = _outcome(protocol, graph, seed, "sync", word_budget)
     assert vectorised == python == reference
+    # FIFO async, no faults: the shared books keep the same accounts.
+    assert _outcome(protocol, graph, seed, "async", word_budget) == reference
 
 
 def _epoch_outcome(epoch, graph, values, caps, policy, budget, word_budget):
