@@ -30,8 +30,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.distributed_en import decompose_distributed
-from repro.engine import backend_name
 from repro.graphs import Graph, torus_graph
+from repro.graphs._kernel import backend_name
 
 from _common import emit, median_time, strip_private
 

@@ -43,7 +43,10 @@ Subcommands
 The global ``--profile HZ`` flag (or ``REPRO_PROFILE=HZ``) runs any
 command under the stdlib sampling profiler: the collapsed flame table
 (samples attributed to the open span path) is printed to stderr at
-exit and mirrored into the active trace file, if any.
+exit and mirrored into the active trace file, if any.  ``--trace`` and
+``--profile`` win over their environment variables in both directions:
+``--trace off`` and ``--profile off`` disable what the environment
+enables.
 
 Graphs are described by compact specs: ``er:200:0.03``, ``grid:10:12``,
 ``path:50``, ``cycle:64``, ``tree:2:5``, ``hypercube:6``, ``conn:300:0.01``,
@@ -55,6 +58,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pathlib
 import sys
 import time
@@ -97,7 +101,7 @@ from .experiments import (
     scenario_names,
 )
 from .graphs import parse_graph_spec
-from .oracle import build_oracle, estimates_checksum, validate_sample
+from .oracle import estimates_checksum, validate_sample
 from .oracle import load as load_tables
 from .rng import DEFAULT_SEED, stream
 from .serving import (
@@ -113,13 +117,10 @@ from .telemetry import (
     SamplingProfiler,
     Telemetry,
     configure,
-    configure_profile,
     parse_profile_setting,
     parse_setting,
     read_trace,
-    reset_profile,
     resolve,
-    resolve_profile,
     shutdown,
 )
 from .telemetry.critical import critical_path, lag_timeline
@@ -132,6 +133,22 @@ from .telemetry.report import (
 )
 
 __all__ = ["parse_graph_spec", "main"]
+
+
+def _write_text(path: str, text: str) -> pathlib.Path:
+    """Write ``text`` to ``path``, creating its parent directories."""
+    target = pathlib.Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text, encoding="utf8")
+    return target
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    """Write one ``--json`` artifact (indented, keys sorted), if asked for."""
+    if path:
+        _write_text(
+            path, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+        )
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -297,12 +314,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         tel = resolve(None)
         if tel is not None:
             payload["telemetry"] = tel.block()
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf8",
-        )
+        _write_json(args.json, payload)
     print(format_records(
         rows,
         title=f"{spec.name}: {spec.trials} trial(s) x {len(spec.points)} point(s), "
@@ -371,10 +383,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     plan = plan_campaign(args.name, trials=args.trials, shard=shard)
     directory = _campaign_dir(args, shard)
     journal = CampaignJournal(directory / JOURNAL_FILENAME)
-    cache = (
-        ResultCache(args.cache_dir) if args.cache_dir
-        else ResultCache(directory / "cache")
-    )
+    cache = ResultCache(args.cache_dir or directory / "cache")
     if not resume and args.fresh:
         journal.delete()
     outcome = run_campaign(
@@ -405,13 +414,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     # to stderr.
     print(render_campaign(outcome))
     if args.json:
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(campaign_payload(outcome), indent=2, sort_keys=True,
-                       default=str) + "\n",
-            encoding="utf8",
-        )
+        _write_json(args.json, campaign_payload(outcome))
     failures = outcome.failures
     print(
         f"campaign {plan.name!r}: {plan.num_trials} trial(s) in shard, "
@@ -437,13 +440,9 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     rows = []
     pending_total = 0
     for member_plan in plan.members:
-        completed = failed = 0
-        for trial in member_plan.trials:
-            entry = entries.get(trial.key())
-            if entry is None:
-                continue
-            completed += 1
-            failed += 0 if entry.ok else 1
+        keys = [trial.key() for trial in member_plan.trials]
+        found = [entries[key] for key in keys if key in entries]
+        completed, failed = len(found), sum(not entry.ok for entry in found)
         pending = len(member_plan.trials) - completed
         pending_total += pending
         rows.append(
@@ -508,6 +507,41 @@ def _cmd_campaign_compare(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+def _add_recipe(parser: argparse.ArgumentParser, graph: str = "graph") -> None:
+    """Declare the oracle build recipe that :func:`_load_oracle` reads.
+
+    ``oracle``, ``serve`` and the ``loadgen --validate`` reference (whose
+    graph spec is the ``--graph`` option) declare it through here, so the
+    tables they load agree for the same flags.
+    """
+    parser.add_argument(graph, help="graph spec, e.g. gnp_fast:100000:0.00006")
+    parser.add_argument(
+        "-k", type=float, default=None, help="level-0 k (default ceil(ln n))"
+    )
+    parser.add_argument("-c", type=float, default=4.0)
+    parser.add_argument(
+        "--budget",
+        type=float,
+        default=8.0,
+        help="overlap budget: max mean membership slots per vertex "
+        "per scale (saturated scales are skipped)",
+    )
+
+
+def _load_oracle(args: argparse.Namespace, telemetry=None):
+    """The oracle tables of the recipe :func:`_add_recipe` declared,
+    always built fresh (``oracle build|query`` time the build)."""
+    return load_tables(
+        args.graph,
+        seed=args.seed,
+        k=args.k,
+        c=args.c,
+        overlap_budget=args.budget,
+        telemetry=telemetry,
+        use_cache=False,
+    )
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     # Timing is measured exactly once, by the oracle's own spans: with
     # --trace / REPRO_TELEMETRY the ambient trace collects them, else a
@@ -515,17 +549,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     # the artifact's telemetry block below.
     tel = resolve(None)
     local = tel if tel is not None else Telemetry()
-    # One shared loading path with the serve daemon: repeated loads of
-    # the same recipe in one process (build then query, tests, the
-    # loadgen validator) reuse the memoized tables.
-    oracle = load_tables(
-        args.graph,
-        seed=args.seed,
-        k=args.k,
-        c=args.c,
-        overlap_budget=args.budget,
-        telemetry=local,
-    )
+    oracle = _load_oracle(args, telemetry=local)
     graph = oracle.graph
     build_seconds = local.total_seconds("oracle.build")
     scale_rows = oracle.scale_rows()
@@ -553,7 +577,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "skipped_radii": oracle.skipped_radii,
         "stretch_bound": oracle.stretch_bound,
         "build_seconds": round(build_seconds, 3),
-        "environment": environment_block(),
     }
     exit_code = 0
     if args.oracle_command == "query":
@@ -596,29 +619,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         payload["query"] = summary
         payload["query_seconds"] = round(query_seconds, 3)
         exit_code = 1 if violations else 0
-    payload["telemetry"] = local.block()
-    if args.json:
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf8",
-        )
+    if args.json:  # the environment block runs git: only when asked
+        payload.update(environment=environment_block(), telemetry=local.block())
+        _write_json(args.json, payload)
     return exit_code
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    tel = resolve(None)
-    local = tel if tel is not None else Telemetry()
-    oracle = load_tables(
-        args.graph,
-        seed=args.seed,
-        k=args.k,
-        c=args.c,
-        overlap_budget=args.budget,
-        telemetry=local,
-    )
     workers = args.workers if args.workers is not None else default_workers()
+    # Built before the tables, so a bad --port fails at once.
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -627,6 +636,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         workers=workers,
     )
+    tel = resolve(None)
+    local = tel if tel is not None else Telemetry()
+    oracle = _load_oracle(args, telemetry=local)
 
     def on_ready(host: str, port: int) -> None:
         print(
@@ -637,9 +649,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.ready_file:
-            path = pathlib.Path(args.ready_file)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(f"{host}:{port}\n", encoding="utf8")
+            _write_text(args.ready_file, f"{host}:{port}\n")
 
     try:
         run_server(oracle, config, telemetry=local, ready_callback=on_ready)
@@ -660,6 +670,11 @@ def _loadgen_address(args: argparse.Namespace) -> tuple[str, int]:
                 text = ""
             if text:
                 host, _, port = text.rpartition(":")
+                if not (host and port.isdigit()):
+                    raise ParameterError(
+                        f"address file {args.addr_file!r} holds {text!r}, "
+                        "not host:port"
+                    )
                 return host, int(port)
             if time.monotonic() >= deadline:
                 raise ParameterError(
@@ -675,8 +690,13 @@ def _loadgen_address(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     host, port = _loadgen_address(args)
-    with ServeClient(host, port) as client:
-        stats = client.stats()
+    try:
+        with ServeClient(host, port) as client:
+            stats = client.stats()
+    except (OSError, OverflowError) as exc:  # refused, unreachable, bad port
+        raise ParameterError(
+            f"cannot reach a serve daemon at {host}:{port}: {exc}"
+        ) from exc
     n = stats["n"]
     pairs = sample_pairs(n, args.pairs, args.seed)
     if args.mode == "closed":
@@ -713,13 +733,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.validate:
         if not args.graph:
             raise ParameterError("--validate needs --graph to build the reference")
-        reference = load_tables(
-            args.graph,
-            seed=args.seed,
-            k=args.k,
-            c=args.c,
-            overlap_budget=args.budget,
-        )
+        reference = _load_oracle(args)
         if reference.graph.num_vertices != n:
             raise ParameterError(
                 f"--graph {args.graph!r} has n={reference.graph.num_vertices} "
@@ -729,12 +743,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         with ServeClient(host, port) as client:
             served_d = client.distances(sample)
             served_r = client.routes(sample)
-        mismatches += sum(
-            1 for a, b in zip(served_d, reference.distances(sample)) if a != b
-        )
-        mismatches += sum(
-            1 for a, b in zip(served_r, reference.routes(sample)) if a != b
-        )
+        expected = reference.distances(sample) + reference.routes(sample)
+        mismatches = sum(a != b for a, b in zip(served_d + served_r, expected))
         validated = len(sample)
         verdict = "row-identical" if mismatches == 0 else f"{mismatches} MISMATCHES"
         print(
@@ -750,7 +760,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 client.shutdown()
 
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "command": "loadgen",
             "benchmark": "serving",
             "host": host,
@@ -761,13 +771,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             "mismatches": mismatches,
             "server": final_stats,
             "environment": environment_block(),
-        }
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf8",
-        )
+        })
     return 1 if (report.errors or mismatches) else 0
 
 
@@ -815,210 +819,199 @@ def _format_summary_rows(rows: list[dict], flat: bool = False) -> list[dict]:
 
 
 def _format_chain_rows(chain: list[dict]) -> list[dict]:
-    """Critical-path chain steps as text-table rows."""
+    """Critical-path chain steps as text-table rows (blank where a column
+    does not apply to the step's edge kind)."""
     rows = []
     for position, step in enumerate(chain, 1):
+        row = dict.fromkeys(("transit", "delay", "fault", "compute"), "")
         if step["edge"] == "msg":
-            rows.append(
-                {
-                    "step": position,
-                    "edge": "msg",
-                    "link": f"{step['send']}@{step['send_round']} -> "
-                    f"{step['recv']}@{step['recv_round']}",
-                    "transit": step["transit"],
-                    "delay": step["delay"],
-                    "fault": step["fault"],
-                    "compute": "",
-                }
-            )
+            link = (f"{step['send']}@{step['send_round']} -> "
+                    f"{step['recv']}@{step['recv_round']}")
+            row.update((key, step[key]) for key in ("transit", "delay", "fault"))
         else:
-            rows.append(
-                {
-                    "step": position,
-                    "edge": "local",
-                    "link": f"{step['node']}: {step['from_round']} -> "
-                    f"{step['to_round']}",
-                    "transit": "",
-                    "delay": "",
-                    "fault": "",
-                    "compute": step["compute"],
-                }
-            )
+            link = f"{step['node']}: {step['from_round']} -> {step['to_round']}"
+            row["compute"] = step["compute"]
+        rows.append({"step": position, "edge": step["edge"], "link": link, **row})
     return rows
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.trace_command == "export":
-        records = _load_trace(args.trace_file)
-        text = export_text(records, fmt=args.format)
-        if args.out:
-            path = pathlib.Path(args.out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf8")
-            events = text.count("\n") if args.format == "jsonl" else len(
-                json.loads(text)["traceEvents"]
-            )
-            print(
-                f"wrote {events} trace event(s) ({args.format}) to {path}",
-                file=sys.stderr,
-            )
-        else:
-            sys.stdout.write(text)
+def _print_rows(
+    rows: list[dict], limit: int, title: str, unit: str = "round(s)"
+) -> None:
+    """Print at most ``limit`` rows (0 = all); the count cut goes to stderr."""
+    print(format_records(rows[:limit] if limit else rows, title=title))
+    if limit and len(rows) > limit:
+        print(f"... {len(rows) - limit} more {unit}", file=sys.stderr)
+
+
+def _missing_stream(kind: str, records: list[dict], args) -> ParameterError:
+    """The error for a ``--stream`` that has no ``kind`` records."""
+    streams = sorted({r.get("stream") for r in records if r.get("kind") == kind})
+    return ParameterError(
+        f"no {kind} records for stream {args.stream!r} in "
+        f"{args.trace_file!r} (streams present: {streams or 'none'})"
+    )
+
+
+def _cmd_trace_export(args: argparse.Namespace) -> int:
+    records = _load_trace(args.trace_file)
+    text = export_text(records, fmt=args.format)
+    if not args.out:
+        sys.stdout.write(text)
         return 0
-    if args.trace_command == "summarize":
-        records = _load_trace(args.trace_file)
-        rows = summarize_spans(records)
-        if args.sort != "path":
-            rows = sorted(
-                rows, key=lambda row: -row[_SUMMARY_SORT_KEYS[args.sort]]
-            )
-        rounds = round_timeline(records)
-        # The sink and the in-memory collectors are bounded; a trace that
-        # overflowed carries `truncated` markers — surface the drop count
-        # so a summary is never mistaken for the whole story.
-        dropped = sum(
-            int(record.get("dropped", 0))
-            for record in records
-            if record.get("kind") == "truncated"
+    path = _write_text(args.out, text)
+    events = text.count("\n") if args.format == "jsonl" else len(
+        json.loads(text)["traceEvents"]
+    )
+    print(
+        f"wrote {events} trace event(s) ({args.format}) to {path}",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _cmd_trace_summarize(args: argparse.Namespace) -> int:
+    records = _load_trace(args.trace_file)
+    rows = summarize_spans(records)
+    if args.sort != "path":
+        rows = sorted(
+            rows, key=lambda row: -row[_SUMMARY_SORT_KEYS[args.sort]]
         )
-        title = (
-            f"span summary of {args.trace_file} "
-            f"({len(rows)} path(s), {len(rounds)} round record(s)"
-            + (f", {dropped} record(s) dropped" if dropped else "")
-            + ")"
-        )
-        # The close-time summary record carries the sink's per-kind
-        # census — print it as the header so a summary says up front
-        # what the trace actually holds (spans vs rounds vs causal ...).
-        summary = next(
-            (r for r in records if r.get("kind") == "summary"), None
-        )
-        kinds = dict((summary or {}).get("kinds") or {})
-        if kinds:
-            print(
-                "records: "
-                + ", ".join(
-                    f"{name}={count}" for name, count in sorted(kinds.items())
-                )
-            )
-        print(format_records(
-            _format_summary_rows(rows, flat=args.sort != "path"),
-            title=title,
-        ))
-        payload = {"command": "trace summarize", "trace": args.trace_file,
-                   "sort": args.sort, "spans": rows, "rounds": len(rounds),
-                   "dropped": dropped, "kinds": kinds}
-    elif args.trace_command == "timeline":
-        records = _load_trace(args.trace_file)
-        rows = round_timeline(records, stream=args.stream)
-        if not rows:
-            streams = sorted(
-                {r.get("stream") for r in records if r.get("kind") == "round"}
-            )
-            raise ParameterError(
-                f"no round records for stream {args.stream!r} in "
-                f"{args.trace_file!r} (streams present: {streams or 'none'})"
-            )
-        print(format_records(
-            rows[: args.limit] if args.limit else rows,
-            title=f"round timeline of {args.trace_file}"
-            + (f" (stream {args.stream})" if args.stream else ""),
-        ))
-        if args.limit and len(rows) > args.limit:
-            print(f"... {len(rows) - args.limit} more round(s)", file=sys.stderr)
-        payload = {"command": "trace timeline", "trace": args.trace_file,
-                   "stream": args.stream, "rows": rows}
-    elif args.trace_command == "causality":
-        records = _load_trace(args.trace_file)
-        rows = causality_table(records, stream=args.stream)
-        if not rows:
-            streams = sorted(
-                {r.get("stream") for r in records if r.get("kind") == "causal"}
-            )
-            raise ParameterError(
-                f"no causal records for stream {args.stream!r} in "
-                f"{args.trace_file!r} (streams present: {streams or 'none'})"
-            )
-        print(format_records(
-            rows,
-            title=f"causal census of {args.trace_file}"
-            + (f" (stream {args.stream})" if args.stream else ""),
-        ))
-        payload = {"command": "trace causality", "trace": args.trace_file,
-                   "stream": args.stream, "rows": rows}
-        if len(rows) == 1:
-            timeline = lag_timeline(records, stream=rows[0]["stream"])
-            shown = timeline[: args.limit] if args.limit else timeline
-            print(format_records(
-                shown,
-                title=f"lag timeline (stream {rows[0]['stream']})",
-            ))
-            if args.limit and len(timeline) > args.limit:
-                print(
-                    f"... {len(timeline) - args.limit} more round(s)",
-                    file=sys.stderr,
-                )
-            payload["timeline"] = timeline
-    elif args.trace_command == "critical-path":
-        records = _load_trace(args.trace_file)
-        try:
-            result = critical_path(
-                records, stream=args.stream, node=args.node
-            )
-        except ValueError as exc:
-            raise ParameterError(str(exc)) from exc
-        attribution = result["attribution"]
-        slack = result["slack"]
+    rounds = round_timeline(records)
+    # The sink and the in-memory collectors are bounded; a trace that
+    # overflowed carries `truncated` markers — surface the drop count
+    # so a summary is never mistaken for the whole story.
+    dropped = sum(
+        int(record.get("dropped", 0))
+        for record in records
+        if record.get("kind") == "truncated"
+    )
+    title = (
+        f"span summary of {args.trace_file} "
+        f"({len(rows)} path(s), {len(rounds)} round record(s)"
+        + (f", {dropped} record(s) dropped" if dropped else "")
+        + ")"
+    )
+    # The close-time summary record carries the sink's per-kind
+    # census — print it as the header so a summary says up front
+    # what the trace actually holds (spans vs rounds vs causal ...).
+    summary = next(
+        (r for r in records if r.get("kind") == "summary"), None
+    )
+    kinds = dict((summary or {}).get("kinds") or {})
+    if kinds:
         print(
-            f"critical path of {args.trace_file} (stream {result['stream']}): "
-            f"node {result['node']} "
-            + ("halts" if result["halted"] else "last seen")
-            + f" at round {result['rounds']}, time {result['time']:g} "
-            f"(drift {result['drift']:+g}), {len(result['chain'])} step(s)"
-        )
-        print(
-            "attribution: "
+            "records: "
             + ", ".join(
-                f"{key}={attribution[key]:g}"
-                for key in ("transit", "delay", "fault", "compute")
+                f"{name}={count}" for name, count in sorted(kinds.items())
             )
-            + f"; slack mean={slack['mean']:g} max={slack['max']:g} "
-            f"over {slack['edges']} edge(s)"
         )
-        chain_rows = _format_chain_rows(result["chain"])
-        shown = chain_rows[: args.limit] if args.limit else chain_rows
-        print(format_records(shown, title="critical-path chain"))
-        if args.limit and len(chain_rows) > args.limit:
-            print(
-                f"... {len(chain_rows) - args.limit} more step(s)",
-                file=sys.stderr,
-            )
-        payload = {"command": "trace critical-path", "trace": args.trace_file,
-                   "trace_stream": args.stream, "pinned_node": args.node,
-                   **result}
-    else:  # diff
-        baseline = summarize_spans(_load_trace(args.baseline))
-        current = summarize_spans(_load_trace(args.current))
-        rows = diff_summaries(baseline, current, tolerance=args.tolerance)
-        print(format_records(
-            rows,
-            title=f"trace diff: {args.current} vs baseline {args.baseline} "
-            f"(tolerance {args.tolerance:.0%})",
-        ))
-        drifted = sum(1 for row in rows if row["status"] != "ok")
-        print(
-            f"{len(rows)} span path(s) compared, {drifted} drifted",
-            file=sys.stderr,
+    print(format_records(
+        _format_summary_rows(rows, flat=args.sort != "path"),
+        title=title,
+    ))
+    _write_json(args.json, {
+        "command": "trace summarize", "trace": args.trace_file,
+        "sort": args.sort, "spans": rows, "rounds": len(rounds),
+        "dropped": dropped, "kinds": kinds,
+    })
+    return 0
+
+
+def _cmd_trace_timeline(args: argparse.Namespace) -> int:
+    records = _load_trace(args.trace_file)
+    rows = round_timeline(records, stream=args.stream)
+    if not rows:
+        raise _missing_stream("round", records, args)
+    _print_rows(
+        rows, args.limit,
+        f"round timeline of {args.trace_file}"
+        + (f" (stream {args.stream})" if args.stream else ""),
+    )
+    _write_json(args.json, {
+        "command": "trace timeline", "trace": args.trace_file,
+        "stream": args.stream, "rows": rows,
+    })
+    return 0
+
+
+def _cmd_trace_causality(args: argparse.Namespace) -> int:
+    records = _load_trace(args.trace_file)
+    rows = causality_table(records, stream=args.stream)
+    if not rows:
+        raise _missing_stream("causal", records, args)
+    print(format_records(
+        rows,
+        title=f"causal census of {args.trace_file}"
+        + (f" (stream {args.stream})" if args.stream else ""),
+    ))
+    payload = {"command": "trace causality", "trace": args.trace_file,
+               "stream": args.stream, "rows": rows}
+    if len(rows) == 1:
+        timeline = lag_timeline(records, stream=rows[0]["stream"])
+        _print_rows(
+            timeline, args.limit, f"lag timeline (stream {rows[0]['stream']})"
         )
-        payload = {"command": "trace diff", "baseline": args.baseline,
-                   "current": args.current, "rows": rows}
-    if args.json:
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf8",
+        payload["timeline"] = timeline
+    _write_json(args.json, payload)
+    return 0
+
+
+def _cmd_trace_critical_path(args: argparse.Namespace) -> int:
+    records = _load_trace(args.trace_file)
+    try:
+        result = critical_path(
+            records, stream=args.stream, node=args.node
         )
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
+    attribution = result["attribution"]
+    slack = result["slack"]
+    print(
+        f"critical path of {args.trace_file} (stream {result['stream']}): "
+        f"node {result['node']} "
+        + ("halts" if result["halted"] else "last seen")
+        + f" at round {result['rounds']}, time {result['time']:g} "
+        f"(drift {result['drift']:+g}), {len(result['chain'])} step(s)"
+    )
+    print(
+        "attribution: "
+        + ", ".join(
+            f"{key}={attribution[key]:g}"
+            for key in ("transit", "delay", "fault", "compute")
+        )
+        + f"; slack mean={slack['mean']:g} max={slack['max']:g} "
+        f"over {slack['edges']} edge(s)"
+    )
+    _print_rows(
+        _format_chain_rows(result["chain"]), args.limit,
+        "critical-path chain", unit="step(s)",
+    )
+    _write_json(args.json, {
+        "command": "trace critical-path", "trace": args.trace_file,
+        "trace_stream": args.stream, "pinned_node": args.node, **result,
+    })
+    return 0
+
+
+def _cmd_trace_diff(args: argparse.Namespace) -> int:
+    baseline = summarize_spans(_load_trace(args.baseline))
+    current = summarize_spans(_load_trace(args.current))
+    rows = diff_summaries(baseline, current, tolerance=args.tolerance)
+    print(format_records(
+        rows,
+        title=f"trace diff: {args.current} vs baseline {args.baseline} "
+        f"(tolerance {args.tolerance:.0%})",
+    ))
+    drifted = sum(1 for row in rows if row["status"] != "ok")
+    print(
+        f"{len(rows)} span path(s) compared, {drifted} drifted",
+        file=sys.stderr,
+    )
+    _write_json(args.json, {
+        "command": "trace diff", "baseline": args.baseline,
+        "current": args.current, "rows": rows,
+    })
     return 0
 
 
@@ -1033,6 +1026,29 @@ class _SeedAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
         namespace.seed_given = True
+
+
+def _trace_parser(
+    tsub, name: str, help_text: str, func, stream: str | None = None,
+    rows: str | None = None, json_text: str | None = None,
+) -> argparse.ArgumentParser:
+    """Declare one ``trace`` subcommand reading ``trace_file``.
+
+    ``stream``, ``rows`` and ``json_text`` word its ``--stream``,
+    ``--limit`` and ``--json`` options; a subcommand without one omits it.
+    """
+    tp = tsub.add_parser(name, help=help_text)
+    tp.add_argument("trace_file", help="trace JSONL path")
+    if stream:
+        tp.add_argument("--stream", default=None, metavar="NAME", help=stream)
+    if rows:
+        tp.add_argument("--limit", type=int, default=0, metavar="N",
+                        help=f"print at most N {rows} (0 = all)")
+    if json_text:
+        tp.add_argument("--json", default=None, metavar="PATH",
+                        help=f"also write {json_text} as JSON to PATH")
+    tp.set_defaults(func=func)
+    return tp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1100,16 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("query", "build, then answer a seeded batch of distance queries"),
     ):
         op = osub.add_parser(name, help=help_text)
-        op.add_argument("graph", help="graph spec, e.g. gnp_fast:100000:0.00006")
-        op.add_argument("-k", type=float, default=None, help="level-0 k (default ceil(ln n))")
-        op.add_argument("-c", type=float, default=4.0)
-        op.add_argument(
-            "--budget",
-            type=float,
-            default=8.0,
-            help="overlap budget: max mean membership slots per vertex "
-            "per scale (saturated scales are skipped)",
-        )
+        _add_recipe(op)
         if name == "query":
             op.add_argument("--pairs", type=int, default=4096, help="query batch size")
             op.add_argument(
@@ -1137,15 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve the oracle over TCP (newline-delimited JSON protocol)",
     )
-    p.add_argument("graph", help="graph spec, e.g. gnp_fast:100000:0.00006")
-    p.add_argument("-k", type=float, default=None, help="level-0 k (default ceil(ln n))")
-    p.add_argument("-c", type=float, default=4.0)
-    p.add_argument(
-        "--budget",
-        type=float,
-        default=8.0,
-        help="overlap budget: max mean membership slots per vertex per scale",
-    )
+    _add_recipe(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
         "--port", type=int, default=0,
@@ -1215,16 +1214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pairs-per-request", type=int, default=1,
         help="query pairs carried by each request",
     )
-    p.add_argument(
-        "--graph", default=None,
-        help="graph spec for the --validate reference oracle",
-    )
-    p.add_argument(
-        "-k", type=float, default=None,
-        help="reference oracle k (match the daemon's)",
-    )
-    p.add_argument("-c", type=float, default=4.0)
-    p.add_argument("--budget", type=float, default=8.0)
+    _add_recipe(p, "--graph")
     p.add_argument(
         "--validate", type=int, default=0, metavar="N",
         help="check N served distance+route answers row-identical against "
@@ -1362,10 +1352,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tsub = p.add_subparsers(dest="trace_command", required=True)
 
-    tp = tsub.add_parser(
-        "summarize", help="span tree with calls, cumulative and self time"
+    tp = _trace_parser(
+        tsub, "summarize", "span tree with calls, cumulative and self time",
+        _cmd_trace_summarize, json_text="the summary rows",
     )
-    tp.add_argument("trace_file", help="trace JSONL path")
     tp.add_argument(
         "--sort",
         choices=("path", "self", "cum", "count"),
@@ -1373,62 +1363,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="row order: tree order (path, default), self time, "
         "cumulative time, or call count",
     )
-    tp.add_argument("--json", default=None, metavar="PATH",
-                    help="also write the summary rows as JSON to PATH")
-    tp.set_defaults(func=_cmd_trace)
-
-    tp = tsub.add_parser(
-        "timeline", help="per-round convergence timeline of a protocol run"
+    _trace_parser(
+        tsub, "timeline", "per-round convergence timeline of a protocol run",
+        _cmd_trace_timeline,
+        stream="only this round stream (e.g. en.rounds)",
+        rows="rows",
+        json_text="the timeline rows",
     )
-    tp.add_argument("trace_file", help="trace JSONL path")
-    tp.add_argument(
-        "--stream",
-        default=None,
-        metavar="NAME",
-        help="only this round stream (e.g. en.rounds)",
+    _trace_parser(
+        tsub, "causality",
+        "causal message-log census (edges, halts, Lamport depth, slack)",
+        _cmd_trace_causality,
+        stream="only this causal stream (e.g. en.causal)",
+        rows="lag-timeline rows",
+        json_text="the census (and timeline)",
     )
-    tp.add_argument("--limit", type=int, default=0, metavar="N",
-                    help="print at most N rows (0 = all)")
-    tp.add_argument("--json", default=None, metavar="PATH",
-                    help="also write the timeline rows as JSON to PATH")
-    tp.set_defaults(func=_cmd_trace)
-
-    tp = tsub.add_parser(
-        "causality",
-        help="causal message-log census (edges, halts, Lamport depth, slack)",
-    )
-    tp.add_argument("trace_file", help="trace JSONL path")
-    tp.add_argument(
-        "--stream",
-        default=None,
-        metavar="NAME",
-        help="only this causal stream (e.g. en.causal)",
-    )
-    tp.add_argument("--limit", type=int, default=0, metavar="N",
-                    help="print at most N lag-timeline rows (0 = all)")
-    tp.add_argument("--json", default=None, metavar="PATH",
-                    help="also write the census (and timeline) as JSON to PATH")
-    tp.set_defaults(func=_cmd_trace)
-
-    tp = tsub.add_parser(
-        "critical-path",
-        help="longest causal dependency chain ending at a halt, with "
+    tp = _trace_parser(
+        tsub, "critical-path",
+        "longest causal dependency chain ending at a halt, with "
         "per-edge schedule/fault/compute attribution",
-    )
-    tp.add_argument("trace_file", help="trace JSONL path")
-    tp.add_argument(
-        "--stream",
-        default=None,
-        metavar="NAME",
-        help="causal stream to analyze (required if the trace mixes streams)",
+        _cmd_trace_critical_path,
+        stream="causal stream to analyze (required if the trace mixes streams)",
+        rows="chain rows",
+        json_text="the full result",
     )
     tp.add_argument("--node", type=int, default=None, metavar="V",
                     help="pin the chain to node V's halt")
-    tp.add_argument("--limit", type=int, default=0, metavar="N",
-                    help="print at most N chain rows (0 = all)")
-    tp.add_argument("--json", default=None, metavar="PATH",
-                    help="also write the full result as JSON to PATH")
-    tp.set_defaults(func=_cmd_trace)
 
     tp = tsub.add_parser("diff", help="diff two traces' span summaries")
     tp.add_argument("current", help="trace to check (JSONL path)")
@@ -1443,12 +1403,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tp.add_argument("--json", default=None, metavar="PATH",
                     help="also write the diff rows as JSON to PATH")
-    tp.set_defaults(func=_cmd_trace)
+    tp.set_defaults(func=_cmd_trace_diff)
 
-    tp = tsub.add_parser(
-        "export", help="convert a trace to Chrome trace-event JSON (Perfetto)"
+    tp = _trace_parser(
+        tsub, "export", "convert a trace to Chrome trace-event JSON (Perfetto)",
+        _cmd_trace_export,
     )
-    tp.add_argument("trace_file", help="trace JSONL path")
     tp.add_argument(
         "--format",
         choices=("chrome", "jsonl"),
@@ -1458,7 +1418,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tp.add_argument("--out", default=None, metavar="PATH",
                     help="write to PATH instead of stdout")
-    tp.set_defaults(func=_cmd_trace)
     return parser
 
 
@@ -1489,11 +1448,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     profiler = None
     try:
-        if getattr(args, "trace", None):
+        # Each flag, when given, wins over its environment variable, also
+        # when it turns the feature off.
+        if args.trace is not None:
             configure(parse_setting(args.trace))
-        if getattr(args, "profile", None):
-            configure_profile(parse_profile_setting(args.profile))
-        hz = resolve_profile()
+        hz = parse_profile_setting(
+            args.profile if args.profile is not None
+            else os.environ.get("REPRO_PROFILE", "off")
+        )
         if hz is not None:
             # Bind to the ambient trace (if any) so samples carry the
             # open span path; the sampler only reads, never records.
@@ -1511,7 +1473,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # REPRO_TELEMETRY environment), so the JSONL file carries its
         # summary record even on error exits.
         shutdown()
-        reset_profile()
 
 
 if __name__ == "__main__":  # pragma: no cover

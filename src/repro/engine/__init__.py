@@ -8,9 +8,6 @@ same synchronous-round semantics (§1.1 of the paper), executed over flat
 per-vertex arrays and the CSR buffers of
 :class:`~repro.graphs.graph.Graph`:
 
-* :mod:`~repro.engine.primitives` — the ``gather_sum`` neighbour
-  reduction behind ``live_degrees``; numpy-accelerated with a
-  bit-identical pure-Python fallback (``REPRO_KERNEL=py``);
 * :mod:`~repro.engine.core` — :class:`BatchEngine`: a halt mask over the
   :class:`~repro.distributed.metrics.RoundBooks` the reference engines
   keep too (rounds, :class:`~repro.distributed.metrics.NetworkStats`,
@@ -22,7 +19,9 @@ per-vertex arrays and the CSR buffers of
 * :mod:`~repro.engine.numpy_flood` — :class:`NumpyFlood`, the same epoch
   with one vectorised merge per round.  ``flood_epoch()`` picks it
   whenever the numpy kernel is enabled (no size threshold, no fallback
-  under telemetry) and :class:`ShiftedFlood` under ``REPRO_KERNEL=py``;
+  under telemetry) and :class:`ShiftedFlood` under ``REPRO_KERNEL=py``.
+  The engine has no numpy switch of its own: it reads the one in
+  :mod:`repro.graphs._kernel`;
 * :mod:`~repro.engine.en` / :mod:`~repro.engine.ls` /
   :mod:`~repro.engine.mpx` — executors behind the ``backend="batch"``
   parameter of the distributed EN / LS / MPX drivers.
@@ -33,11 +32,9 @@ message totals, violation rounds and causal logs alike, on both flood
 epochs (``tests/engine/test_cross_kernel.py`` compares them directly).
 """
 
-from ._backend import backend_name, numpy_enabled
 from .broadcast import LiveTopology, ShiftedFlood, announce_round, flood_epoch
 from .core import BatchEngine
 from .numpy_flood import NumpyFlood
-from .primitives import gather_sum, live_degrees
 
 __all__ = [
     "BatchEngine",
@@ -45,9 +42,5 @@ __all__ = [
     "NumpyFlood",
     "ShiftedFlood",
     "announce_round",
-    "backend_name",
     "flood_epoch",
-    "gather_sum",
-    "live_degrees",
-    "numpy_enabled",
 ]

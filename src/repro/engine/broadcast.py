@@ -41,12 +41,13 @@ dropped-message accounting for messages addressed to co-joiners, and
 from __future__ import annotations
 
 import math
+from array import array
+from operator import sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from . import _backend
+from ..graphs import _kernel
 from .core import BROADCAST_WORDS, BatchEngine, first_live_edge
 from .numpy_flood import NumpyFlood
-from .primitives import live_degrees
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graphs.graph import Graph
@@ -78,7 +79,13 @@ class LiveTopology:
         n = graph.num_vertices
         self.live = bytearray(b"\x01") * n
         self.live_list: List[int] = list(range(n))
-        self.live_deg = live_degrees(graph, self.live)
+        # Every vertex is live, so each live degree is a CSR row length.
+        if _kernel.numpy_enabled():
+            indptr = graph._numpy_csr()[0]
+            self.live_deg = _kernel.as_long_array(indptr[1:] - indptr[:-1])
+        else:
+            indptr = graph.csr()[0]
+            self.live_deg = array("l", map(sub, indptr[1:], indptr[:-1]))
 
     def remove(self, vertices: Iterable[int]) -> None:
         """Carve ``vertices`` out of the live set, updating degrees."""
@@ -453,7 +460,7 @@ def flood_epoch() -> type:
     under telemetry: both epochs emit identical round streams and causal
     logs, so a traced run times the same kernel as an untraced one.
     """
-    return NumpyFlood if _backend.enabled() else ShiftedFlood
+    return NumpyFlood if _kernel.numpy_enabled() else ShiftedFlood
 
 
 def announce_round(

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Tuple
 
+from ..graphs._kernel import _np as np
 from ..graphs._kernel import (
     drop_seen,
     frontier_keys,
@@ -51,7 +52,6 @@ from ..graphs._kernel import (
     run_heads,
     run_lengths,
 )
-from ._backend import np
 from .core import BROADCAST_WORDS, BatchEngine, first_live_edge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

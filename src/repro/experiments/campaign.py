@@ -33,17 +33,17 @@ against a shared cache.
 
 from __future__ import annotations
 
-import multiprocessing
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ParameterError
 from .cache import ResultCache
 from .checkpoint import CampaignJournal, JournalEntry, require_compatible_header
-from ..telemetry import maybe_span, measure_span, resolve, usage_block
+from ..telemetry import maybe_span, resolve, usage_block
 from .env import environment_block
 from .registry import DEFAULT_ROOT_SEED, get_scenario
-from .runner import ExperimentResult, TrialResult, _execute_captured
+from .runner import ExperimentResult, TrialResult, execute_trials
 from .spec import ExperimentPoint, ExperimentSpec, TrialSpec, freeze_params, spec_hash
 
 __all__ = [
@@ -179,29 +179,18 @@ def _shootout_members() -> Tuple[CampaignMember, ...]:
     """EN vs LS vs MPX on both backends: sync legs at the small points
     (the reference simulator is the slow contestant), batch legs across
     the full torus/gnp_fast/expander families."""
-    members = []
-    for algo, extra in (("en", {"k": 5}), ("ls", {"k": 5}), ("mpx", {"beta": 0.3})):
-        members.append(
-            CampaignMember(
-                name=f"{algo}-sync",
-                algorithm="shootout",
-                points=grid_points(
-                    _SHOOTOUT_SYNC_GRAPHS, algo=algo, backend="sync", **extra
-                ),
-                trials=2,
-            )
+    return tuple(
+        CampaignMember(
+            name=f"{algo}-{backend}",
+            algorithm="shootout",
+            points=grid_points(graphs, algo=algo, backend=backend, **extra),
+            trials=2,
         )
-        members.append(
-            CampaignMember(
-                name=f"{algo}-batch",
-                algorithm="shootout",
-                points=grid_points(
-                    _SHOOTOUT_BATCH_GRAPHS, algo=algo, backend="batch", **extra
-                ),
-                trials=2,
-            )
+        for algo, extra in (("en", {"k": 5}), ("ls", {"k": 5}), ("mpx", {"beta": 0.3}))
+        for backend, graphs in (
+            ("sync", _SHOOTOUT_SYNC_GRAPHS), ("batch", _SHOOTOUT_BATCH_GRAPHS)
         )
-    return tuple(members)
+    )
 
 
 CAMPAIGNS: Dict[str, Campaign] = {
@@ -443,13 +432,6 @@ class CampaignOutcome:
         return [f for _, result in self.members for f in result.failures]
 
 
-def _execute_tagged(tagged):
-    """Pool worker: run one trial, keep its position tag attached."""
-    position, trial = tagged
-    record, error = _execute_captured(trial)
-    return position, record, error
-
-
 def run_campaign(
     plan: CampaignPlan,
     cache: ResultCache,
@@ -496,10 +478,10 @@ def run_campaign(
 
     # Partition this shard's trials: journaled failures stay failed,
     # cache hits are adopted into the journal, the rest run.
-    pending: List[Tuple[int, TrialSpec]] = []
+    pending: List[Tuple[str, TrialSpec]] = []
     cache_hits = 0
-    member_names = [plan_member.member.name for plan_member in plan.members]
-    for member_index, member_plan in enumerate(plan.members):
+    for member_plan in plan.members:
+        member = member_plan.member.name
         for trial in member_plan.trials:
             key = trial.key()
             entry = entries.get(key)
@@ -508,13 +490,11 @@ def run_campaign(
             if cache.get(trial) is not None:
                 cache_hits += 1
                 if entry is None:
-                    adopted = JournalEntry(
-                        key=key, member=member_names[member_index]
-                    )
+                    adopted = JournalEntry(key=key, member=member)
                     journal.append(adopted)
                     entries[key] = adopted
                 continue
-            pending.append((member_index, trial))
+            pending.append((member, trial))
 
     executed = 0
     interrupted = False
@@ -527,35 +507,15 @@ def run_campaign(
                 f"{plan.name}: {len(pending)} trial(s) to execute "
                 f"({cache_hits} cached, {len(entries)} journaled)"
             )
-            tagged = list(enumerate(pending))
-
-            def serial():
-                for position, (_, trial) in tagged:
-                    with maybe_span(tel, "trial", key=trial.key()) as tspan, \
-                            measure_span(tspan):
-                        record, error = _execute_captured(trial)
-                    yield position, record, error
-
+            todo = [trial for _, trial in pending]
             try:
-                if workers > 1 and len(tagged) > 1:
-                    pool = multiprocessing.Pool(processes=workers)
-                    outcomes = pool.imap_unordered(
-                        _execute_tagged,
-                        [(position, trial) for position, (_, trial) in tagged],
-                        chunksize=1,
-                    )
-                else:
-                    pool = None
-                    outcomes = serial()
-                try:
-                    for position, record, error in outcomes:
-                        member_index, trial = pending[position]
-                        if record is not None:
-                            cache.put(trial, record)
+                # closing(): an interrupted run stops the pool before
+                # this function returns.
+                with closing(execute_trials(todo, workers, cache)) as outcomes:
+                    for position, result in outcomes:
+                        member, trial = pending[position]
                         entry = JournalEntry(
-                            key=trial.key(),
-                            member=member_names[member_index],
-                            error=error,
+                            key=trial.key(), member=member, error=result.error
                         )
                         journal.append(entry)
                         entries[entry.key] = entry
@@ -563,7 +523,7 @@ def run_campaign(
                         emit(
                             f"  [{executed}/{len(pending)}] "
                             f"{entry.member}: {trial.graph}"
-                            + ("" if error is None else "  FAILED")
+                            + ("" if result.error is None else "  FAILED")
                         )
                         if (
                             stop_after is not None
@@ -572,10 +532,6 @@ def run_campaign(
                         ):
                             interrupted = True
                             break
-                finally:
-                    if pool is not None:
-                        pool.terminate()
-                        pool.join()
             except KeyboardInterrupt:
                 interrupted = True
 
@@ -622,27 +578,6 @@ def run_campaign(
 # --------------------------------------------------------------------------
 # Rendering: keyed rows, JSON artifact, stdout tables
 
-def _row_key(
-    member: str,
-    algorithm: str,
-    graph: str,
-    params: Tuple[Tuple[str, object], ...],
-    trials: int,
-    root_seed: int,
-) -> str:
-    return spec_hash(
-        {
-            "member": member,
-            "algorithm": algorithm,
-            "graph": graph,
-            "params": [list(item) for item in params],
-            "trials": trials,
-            "root_seed": root_seed,
-        },
-        version=ROWS_VERSION,
-    )
-
-
 def campaign_rows(outcome: CampaignOutcome) -> List[dict]:
     """Flat keyed aggregate rows — the unit ``campaign compare`` diffs.
 
@@ -657,41 +592,25 @@ def campaign_rows(outcome: CampaignOutcome) -> List[dict]:
     for member_plan, result in outcome.members:
         spec = member_plan.spec
         for agg in aggregate_experiment(result):
-            graph = agg["graph"]
             # Aggregate rows are ordered identity-first: graph, the
             # group's own params, then "trials" and the reduced metrics.
-            param_items: List[Tuple[str, object]] = []
-            metrics: Dict[str, object] = {}
-            seen_trials = False
-            for name, value in agg.items():
-                if name == "graph":
-                    continue
-                if name == "trials":
-                    seen_trials = True
-                    continue
-                if seen_trials:
-                    metrics[name] = value
-                else:
-                    param_items.append((name, value))
-            params = freeze_params(param_items)
-            rows.append(
-                {
-                    "key": _row_key(
-                        member_plan.member.name,
-                        spec.algorithm,
-                        graph,
-                        params,
-                        spec.trials,
-                        spec.root_seed,
-                    ),
-                    "member": member_plan.member.name,
-                    "algorithm": spec.algorithm,
-                    "graph": graph,
-                    "params": dict(params),
-                    "trials": agg["trials"],
-                    "metrics": metrics,
-                }
+            items = list(agg.items())
+            cut = list(agg).index("trials")
+            params = freeze_params(items[1:cut])
+            identity = {
+                "member": member_plan.member.name,
+                "algorithm": spec.algorithm,
+                "graph": agg["graph"],
+            }
+            key = spec_hash(
+                {**identity, "params": [list(item) for item in params],
+                 "trials": spec.trials, "root_seed": spec.root_seed},
+                version=ROWS_VERSION,
             )
+            rows.append({
+                "key": key, **identity, "params": dict(params),
+                "trials": agg["trials"], "metrics": dict(items[cut + 1:]),
+            })
     return rows
 
 

@@ -1,14 +1,15 @@
 """Trial executor: serial or fanned out over a ``multiprocessing`` pool.
 
-:func:`run_experiment` is the one entry point every benchmark and the
-``bench`` CLI subcommand go through:
+:func:`execute_trials` runs trials and stores their records in the
+cache; :func:`run_experiment` (every benchmark and the ``bench`` CLI
+subcommand) and :func:`~repro.experiments.campaign.run_campaign` both
+run through it.  :func:`run_experiment`:
 
-1. expand the :class:`ExperimentSpec` into trials (deterministic order);
-2. resolve cache hits (when a :class:`ResultCache` is supplied);
-3. execute the misses — serially for ``workers<=1``, otherwise over a
-   process pool with explicit chunking;
-4. store fresh records back into the cache and reassemble everything in
-   the original trial order.
+1. expands the :class:`ExperimentSpec` into trials (deterministic order);
+2. resolves cache hits (when a :class:`ResultCache` is supplied);
+3. executes the misses — serially for ``workers<=1``, otherwise over a
+   process pool — storing fresh records back into the cache;
+4. reassembles everything in the original trial order.
 
 Because adapters are pure functions of the trial spec and seeds are
 derived per trial (never from execution order), the assembled records
@@ -22,7 +23,7 @@ from __future__ import annotations
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ParameterError
 from ..telemetry import maybe_span, measure_span, resolve
@@ -30,7 +31,7 @@ from .adapters import run_trial
 from .cache import ResultCache
 from .spec import ExperimentSpec, TrialSpec
 
-__all__ = ["ExperimentResult", "TrialResult", "run_experiment"]
+__all__ = ["ExperimentResult", "TrialResult", "execute_trials", "run_experiment"]
 
 
 @dataclass(frozen=True)
@@ -86,24 +87,67 @@ class ExperimentResult:
         return self
 
 
-def _execute_captured(trial: TrialSpec) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
-    """Run one trial, converting any exception into a string (picklable)."""
+def _execute_captured(
+    item: Tuple[int, TrialSpec],
+) -> Tuple[int, Optional[Dict[str, Any]], Optional[str]]:
+    """Run one ``(index, trial)``, converting any exception into a string
+    (picklable: this is also the pool worker)."""
+    index, trial = item
     try:
-        return run_trial(trial), None
+        return index, run_trial(trial), None
     except Exception as exc:  # noqa: BLE001 — sweep survival is the contract
-        return None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+        return index, None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
 
-def _pool_chunksize(pending: int, workers: int) -> int:
-    """Chunk so each worker gets ~4 batches (amortise IPC, keep balance)."""
-    return max(1, pending // (workers * 4))
+def _execute_serially(trials: Sequence[TrialSpec]):
+    """Run ``trials`` in order, each under a measured ``trial`` span."""
+    tel = resolve(None)
+    for item in enumerate(trials):
+        with maybe_span(tel, "trial", key=item[1].key()) as span, measure_span(span):
+            outcome = _execute_captured(item)
+        yield outcome
+
+
+def execute_trials(
+    trials: Sequence[TrialSpec],
+    workers: int = 1,
+    cache: Optional[ResultCache] = None,
+    chunksize: int = 1,
+) -> Iterator[Tuple[int, TrialResult]]:
+    """Run every trial of ``trials``; yield ``(index, result)`` as each ends.
+
+    ``workers <= 1`` (or a single trial) runs them in order in-process,
+    each under a ``trial`` span of the ambient trace with its resource
+    usage measured; ``N > 1`` fans them out over a
+    ``multiprocessing.Pool(N)``, ``chunksize`` trials per pool task, and
+    yields in completion order.  Fresh records are stored in ``cache``
+    before they are yielded.  Closing the generator early terminates and
+    joins the pool, so a caller that may stop before the end wraps it in
+    :func:`contextlib.closing`.
+    """
+    if workers > 1 and len(trials) > 1:
+        pool = multiprocessing.Pool(processes=workers)
+        outcomes = pool.imap_unordered(
+            _execute_captured, enumerate(trials), chunksize
+        )
+    else:
+        pool = None
+        outcomes = _execute_serially(trials)
+    try:
+        for index, record, error in outcomes:
+            trial = trials[index]
+            if record is not None and cache is not None:
+                cache.put(trial, record)
+            yield index, TrialResult(trial=trial, record=record, error=error)
+    finally:
+        if pool is not None:
+            pool.terminate()  # also joins the workers
 
 
 def run_experiment(
     spec: ExperimentSpec,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    chunksize: Optional[int] = None,
 ) -> ExperimentResult:
     """Execute every trial of ``spec``; see the module docstring.
 
@@ -117,45 +161,28 @@ def run_experiment(
     cache:
         Optional :class:`ResultCache`; hits skip execution, fresh records
         are written back.
-    chunksize:
-        Trials per pool task; defaults to :func:`_pool_chunksize`.
     """
     if workers < 0:
         raise ParameterError(f"workers must be >= 0, got {workers}")
     trials = spec.trial_specs()
     resolved: List[Optional[TrialResult]] = [None] * len(trials)
 
-    pending: List[Tuple[int, TrialSpec]] = []
+    pending: List[int] = []
     for position, trial in enumerate(trials):
         hit = cache.get(trial) if cache is not None else None
         if hit is not None:
             resolved[position] = TrialResult(trial=trial, record=hit, from_cache=True)
         else:
-            pending.append((position, trial))
+            pending.append(position)
 
     tel = resolve(None)
     with maybe_span(tel, "experiment", name=spec.name) as span:
-        if pending:
-            todo = [trial for _, trial in pending]
-            if workers > 1 and len(todo) > 1:
-                with multiprocessing.Pool(processes=workers) as pool:
-                    outcomes = pool.map(
-                        _execute_captured,
-                        todo,
-                        chunksize or _pool_chunksize(len(todo), workers),
-                    )
-            else:
-                outcomes = []
-                for trial in todo:
-                    with maybe_span(tel, "trial", key=trial.key()) as tspan, \
-                            measure_span(tspan):
-                        outcomes.append(_execute_captured(trial))
-            for (position, trial), (record, error) in zip(pending, outcomes):
-                resolved[position] = TrialResult(
-                    trial=trial, record=record, error=error
-                )
-                if record is not None and cache is not None:
-                    cache.put(trial, record)
+        todo = [trials[position] for position in pending]
+        # About four tasks per worker amortise the pool's IPC for small
+        # trials; the campaign keeps one trial per task for its journal.
+        chunksize = max(1, len(todo) // (4 * max(workers, 1)))
+        for index, result in execute_trials(todo, workers, cache, chunksize):
+            resolved[pending[index]] = result
         if span is not None:
             span.add("trials", len(trials))
             span.add("cache_hits", len(trials) - len(pending))

@@ -20,7 +20,7 @@ per-query ``minimum.reduceat``) and the pure-Python path (two-pointer
 merge of the sorted membership rows) return **bit-identical** results —
 both reduce the same integer key ``(dist_s + dist_t) · K + cluster``.
 ``REPRO_KERNEL=py`` forces the Python path, exactly as for the BFS
-kernel and the engine primitives.
+kernel and the batch engine's flood.
 
 Routes are reconstructed from the stored BFS-parent columns by walking
 ``s → center → t`` inside the resolving cluster; the walk's hop count
@@ -33,9 +33,9 @@ from bisect import bisect_left
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
-from ..engine import _backend
-from ..engine._backend import np
 from ..errors import GraphError
+from ..graphs import _kernel
+from ..graphs._kernel import _np as np
 from ..graphs._kernel import gather_frontier_rows
 from ..telemetry import maybe_span, resolve
 from .tables import DistanceOracle, TRIVIAL_SCALE, UNREACHABLE
@@ -50,8 +50,8 @@ __all__ = ["query_distances", "query_details", "query_routes"]
 _NO_ESTIMATE = 1 << 62
 
 #: Batch size at which the vectorised path starts to win (the library's
-#: measured python→numpy crossover, see ``repro.engine._backend``).
-_MIN_NUMPY_BATCH = _backend.WIDE_THRESHOLD
+#: measured python→numpy crossover, see ``repro.graphs._kernel``).
+_MIN_NUMPY_BATCH = _kernel._NUMPY_FRONTIER_THRESHOLD
 
 
 def _split_pairs(
@@ -96,7 +96,7 @@ def query_details(
     if not sources:
         return [], [], []
     use_numpy = (
-        _backend.enabled()
+        _kernel.numpy_enabled()
         and len(sources) >= _MIN_NUMPY_BATCH
         and oracle.graph._numpy_csr() is not None
     )

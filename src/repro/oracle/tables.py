@@ -240,14 +240,13 @@ def load(
     """Build (or reuse) the oracle tables for a ``family:arg:arg`` spec.
 
     This is the one table-loading path shared by ``repro oracle``, the
-    ``repro serve`` daemon and the loadgen validator: the full build
+    ``repro serve`` daemon and the loadgen validator.  The full build
     recipe ``(graph_spec, seed, k, c, overlap_budget)`` keys a small LRU
-    memo, so invoking a query after a build — or starting a daemon after
-    a dry-run build — reuses the tables instead of re-deriving them.
-    Builds are deterministic in the recipe, so a memo hit is
+    memo; builds are deterministic in the recipe, so a memo hit is
     indistinguishable from a rebuild (modulo time).  ``use_cache=False``
-    bypasses the memo both ways (no lookup, no store) for callers that
-    need an isolated instance.
+    bypasses the memo both ways (no lookup, no store).  The CLI and the
+    repository benchmark both pass it, so no caller in this repository
+    relies on the memo.
     """
     from ..graphs.builders import parse_graph_spec
     from .build import build_oracle

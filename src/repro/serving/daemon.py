@@ -97,6 +97,8 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ParameterError(f"workers must be >= 0, got {self.workers}")
+        if not 0 <= self.port <= 65535:
+            raise ParameterError(f"port must be in 0..65535, got {self.port}")
         # max_batch / max_wait_us / cache_size are validated by the
         # MicroBatcher and AnswerCache constructors.
 
@@ -147,10 +149,15 @@ class OracleServer:
                 initargs=(self._shm.name,),
             )
         self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._on_connection, self.config.host, self.config.port,
+                limit=MAX_LINE_BYTES,
+            )
+        except OSError as exc:  # address in use, not local, no permission
+            raise ParameterError(
+                f"cannot serve on {self.config.host}:{self.config.port}: {exc}"
+            ) from exc
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         return self.address
@@ -161,18 +168,25 @@ class OracleServer:
             self._stop_event.set()
 
     async def serve(self, ready_callback=None) -> None:
-        """Start, report readiness, and block until :meth:`request_stop`."""
-        host, port = await self.start()
-        if ready_callback is not None:
-            ready_callback(host, port)
+        """Start, report readiness, and block until :meth:`request_stop`.
+
+        Whatever :meth:`start` acquired is released also when it fails
+        (a port already in use, say) or readiness reporting raises.
+        """
+        if self._server is not None:
+            raise ReproError("server is already started")
         try:
+            host, port = await self.start()
+            if ready_callback is not None:
+                ready_callback(host, port)
             await self._stop_event.wait()
         finally:
             await self._shutdown()
 
     async def _shutdown(self) -> None:
-        self._server.close()
-        await self._server.wait_closed()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

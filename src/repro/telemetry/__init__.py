@@ -30,7 +30,9 @@ timings and the campaign runtime's per-trial accounting:
   histograms combine exactly;
 * **profiling** (:class:`~repro.telemetry.profile.SamplingProfiler`):
   a stdlib sampling profiler attributing stack samples to the open span
-  path, opt-in via ``--profile`` / ``REPRO_PROFILE``;
+  path, opt-in via the CLI's ``--profile`` flag or, without the flag,
+  ``REPRO_PROFILE`` (the CLI resolves the setting itself; the package
+  keeps no profiler state);
 * **resources** (:mod:`repro.telemetry.resources`): RSS / CPU / GC /
   tracemalloc snapshots annotated onto trial spans and artifact
   environment blocks;
@@ -42,10 +44,12 @@ The layer is **opt-in**.  Nothing is recorded unless the caller passes
 a :class:`Telemetry` object, the process called :func:`configure` (the
 CLI's ``--trace`` flag), or the environment sets
 ``REPRO_TELEMETRY=mem|<path>.jsonl`` (``off`` — the default — disables
-everything).  The disabled mode is a hard no-op: no file is created, no
-object is allocated in the engine round loop, and the measured overhead
-on the engine hot path is under 2 % (``benchmarks/bench_telemetry.py``
-gates this in CI).
+everything).  :func:`configure` wins over the environment in both
+directions: ``configure(None)`` (``--trace off``) disables tracing
+whatever ``REPRO_TELEMETRY`` says.  The disabled mode is a hard no-op:
+no file is created, no object is allocated in the engine round loop,
+and the measured overhead on the engine hot path is under 2 %
+(``benchmarks/bench_telemetry.py`` gates this in CI).
 """
 
 from .causality import (
@@ -67,13 +71,7 @@ from .core import (
 from .critical import critical_path, lag_timeline, node_lag, slack_stats
 from .export import chrome_trace, validate_chrome_trace
 from .hist import HIST_SCHEMA, LogHistogram
-from .profile import (
-    SamplingProfiler,
-    configure_profile,
-    parse_profile_setting,
-    reset_profile,
-    resolve_profile,
-)
+from .profile import SamplingProfiler, parse_profile_setting
 from .resources import ResourceSnapshot, measure_span, snapshot, usage_block
 from .rounds import ROUND_KEYS, RoundStream
 from .sink import TELEMETRY_VERSION, JsonlSink, read_trace
@@ -99,16 +97,13 @@ __all__ = [
     "lamport_timestamps",
     "node_lag",
     "slack_stats",
-    "configure_profile",
     "maybe_span",
     "measure_span",
     "parse_profile_setting",
     "parse_setting",
     "read_trace",
     "reset",
-    "reset_profile",
     "resolve",
-    "resolve_profile",
     "shutdown",
     "snapshot",
     "usage_block",

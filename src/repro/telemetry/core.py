@@ -17,8 +17,9 @@ body raised — the span still closes, exception safety is pinned by
 Resolution order for the *ambient* trace — what instrumented call sites
 get from :func:`resolve` when no explicit object is passed:
 
-1. the process-global object installed by :func:`configure` (the CLI's
-   ``--trace`` flag);
+1. whatever :func:`configure` installed (the CLI's ``--trace`` flag),
+   including ``None``: a configured ``off`` is not overridden by the
+   environment;
 2. the ``REPRO_TELEMETRY`` environment variable, read **once** per
    process (``off``/empty → disabled, ``mem`` → in-memory only,
    anything else → a JSONL sink at that path);
@@ -329,9 +330,17 @@ def parse_setting(setting: str) -> Telemetry | None:
 
 
 def configure(telemetry: Telemetry | None) -> Telemetry | None:
-    """Install the process-global ambient trace (the CLI ``--trace`` path)."""
-    global _ambient
+    """Install the process-global ambient trace (the CLI ``--trace`` path).
+
+    ``None`` disables tracing: ``REPRO_TELEMETRY`` is not consulted until
+    :func:`shutdown` or :func:`reset`, and a trace it already opened is
+    closed.
+    """
+    global _ambient, _from_env
+    if isinstance(_from_env, Telemetry):
+        _from_env.close()
     _ambient = telemetry
+    _from_env = None
     return telemetry
 
 

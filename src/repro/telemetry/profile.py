@@ -19,14 +19,14 @@ Design constraints:
   bounded by the sampling rate, not the workload's call rate
   (``benchmarks/bench_telemetry.py`` gates sampling-on at ≤ 1.10x and
   asserts bit-identical decompositions);
-* **opt-in**, resolved exactly like the trace setting: explicit
-  argument > ``--profile`` flag (:func:`configure_profile`) >
-  ``REPRO_PROFILE`` environment variable, read once per process
-  (:func:`reset_profile` re-reads in tests).
+* **opt-in**: nothing samples unless a caller starts a profiler.  The
+  CLI starts one for its ``--profile`` flag or, without the flag, for
+  the ``REPRO_PROFILE`` environment variable; both go through
+  :func:`parse_profile_setting`.
 
-``REPRO_PROFILE`` accepts a sampling rate in Hz (``REPRO_PROFILE=97``),
-``on`` for the default rate, or ``off``.  The default 97 Hz is prime so
-the sampler does not beat against periodic work.
+A setting is a sampling rate in Hz (``REPRO_PROFILE=97``), ``on`` for
+the default rate, or ``off``.  The default 97 Hz is prime so the
+sampler does not beat against periodic work.
 
 Span attribution reads the telemetry object's open-span stack from the
 sampler thread without locking: list reads are atomic under the GIL and
@@ -49,10 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_HZ",
     "SamplingProfiler",
-    "configure_profile",
     "parse_profile_setting",
-    "reset_profile",
-    "resolve_profile",
 ]
 
 #: Default sampling rate (prime, see module docstring).
@@ -238,41 +235,3 @@ class SamplingProfiler:
             "rows": self.flame_table()[:_RECORD_ROWS],
         }
 
-
-# --------------------------------------------------------------------------
-# Ambient resolution (CLI flag > environment > disabled) — the profile
-# twin of repro.telemetry.core's trace resolution.
-
-_ENV_UNREAD = object()
-_ambient_hz: float | None = None
-_from_env: "float | None | object" = _ENV_UNREAD
-
-
-def configure_profile(hz: float | None) -> float | None:
-    """Install the process-global sampling rate (the ``--profile`` flag)."""
-    global _ambient_hz
-    _ambient_hz = hz
-    return hz
-
-
-def resolve_profile(hz: float | None = None) -> float | None:
-    """The active rate: explicit arg > :func:`configure_profile` > env.
-
-    ``None`` means profiling is off.  ``REPRO_PROFILE`` is read once
-    per process and cached.
-    """
-    if hz is not None:
-        return hz
-    if _ambient_hz is not None:
-        return _ambient_hz
-    global _from_env
-    if _from_env is _ENV_UNREAD:
-        _from_env = parse_profile_setting(os.environ.get("REPRO_PROFILE", "off"))
-    return _from_env  # type: ignore[return-value]
-
-
-def reset_profile() -> None:
-    """Drop the ambient profile state (test isolation hook)."""
-    global _ambient_hz, _from_env
-    _ambient_hz = None
-    _from_env = _ENV_UNREAD

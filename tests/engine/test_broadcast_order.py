@@ -15,11 +15,10 @@ import random
 
 import pytest
 
-from repro.engine import _backend
 from repro.engine.broadcast import LiveTopology, ShiftedFlood
 from repro.engine.core import BatchEngine
 from repro.engine.numpy_flood import NumpyFlood
-from repro.graphs import erdos_renyi
+from repro.graphs import _kernel, erdos_renyi
 from repro.rng import stream
 
 EPOCHS = [
@@ -27,7 +26,7 @@ EPOCHS = [
     pytest.param(
         NumpyFlood,
         marks=pytest.mark.skipif(
-            not _backend.numpy_enabled(), reason="numpy kernel inactive"
+            not _kernel.numpy_enabled(), reason="numpy kernel inactive"
         ),
     ),
 ]
@@ -72,7 +71,7 @@ def _deliver(flood, outgoing):
     """
     if isinstance(flood, ShiftedFlood):
         return flood._deliver(outgoing)
-    np = _backend.np
+    np = _kernel._np
     (distance,) = {d for _sender, _origin, d in outgoing}
     column = (
         np.array([sender for sender, _o, _d in outgoing], dtype=np.int64),
@@ -142,3 +141,4 @@ def test_two_round_epoch_state_permutation_invariant(epoch, policy):
         return _decision_state(flood)
 
     assert run(0) == run(9) == run(23)
+

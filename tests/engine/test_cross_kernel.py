@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import distributed_ls, distributed_mpx
 from repro.core.distributed_en import decompose_distributed
-from repro.engine import _backend
 from repro.engine.broadcast import LiveTopology, ShiftedFlood, flood_epoch
 from repro.engine.core import BatchEngine
 from repro.engine.numpy_flood import NumpyFlood
@@ -33,7 +32,7 @@ from repro.telemetry import Telemetry
 from tests.core.test_properties import graphs
 
 pytestmark = pytest.mark.skipif(
-    not _backend.numpy_enabled(), reason="numpy kernel inactive"
+    not _kernel.numpy_enabled(), reason="numpy kernel inactive"
 )
 
 #: ``(protocol, forwarding mode, adaptive phase length)``.

@@ -18,7 +18,6 @@ from repro.baselines.distributed_ls import decompose_distributed as ls_decompose
 from repro.baselines.distributed_mpx import partition_distributed
 from repro.core.distributed_en import decompose_distributed
 from repro.core.params import Theorem2Schedule
-from repro.engine import _backend
 from repro.graphs import _kernel
 from repro.errors import ParameterError
 from repro.graphs import (
@@ -101,7 +100,7 @@ class TestDistributedEN:
         with pytest.raises(ParameterError, match="mode"):
             decompose_distributed(GRAPHS["path"], k=3, mode="bogus", backend="batch")
 
-    @pytest.mark.skipif(not _backend.numpy_enabled(), reason="numpy backend inactive")
+    @pytest.mark.skipif(not _kernel.numpy_enabled(), reason="numpy backend inactive")
     def test_pure_python_primitives_identical(self, monkeypatch):
         graph = GRAPHS["conn"]
         with_numpy = decompose_distributed(graph, k=3, seed=9, backend="batch")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.errors import ParameterError
@@ -225,3 +227,17 @@ class TestFailureCapture:
         journal_b = CampaignJournal(tmp_path / "b" / "journal.jsonl")
         two = run_campaign(serial, cache=cache_b, journal=journal_b, workers=2)
         assert campaign_rows(one) == campaign_rows(two)
+
+
+class TestInterruption:
+    def test_interrupted_parallel_run_leaves_no_worker(self, tmp_path):
+        plan = plan_campaign("campaign-smoke")
+        outcome = run_campaign(
+            plan,
+            cache=ResultCache(tmp_path / "cache"),
+            journal=CampaignJournal(tmp_path / "journal.jsonl"),
+            workers=2,
+            stop_after=1,
+        )
+        assert outcome.interrupted and outcome.executed == 1
+        assert multiprocessing.active_children() == []

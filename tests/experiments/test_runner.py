@@ -58,10 +58,10 @@ class TestParallelEquivalence:
         assert serial.records == parallel.records
         assert aggregate_experiment(serial) == aggregate_experiment(parallel)
 
-    def test_parallel_equals_serial_with_explicit_chunksize(self):
+    def test_parallel_equals_serial_with_uneven_split(self):
         spec = er_spec(trials=5)
         serial = run_experiment(spec, workers=1)
-        parallel = run_experiment(spec, workers=3, chunksize=1)
+        parallel = run_experiment(spec, workers=3)
         assert serial.records == parallel.records
 
 

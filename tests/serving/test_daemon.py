@@ -8,6 +8,7 @@ batched query engine directly, on both kernel backends.
 
 from __future__ import annotations
 
+import asyncio
 import pathlib
 import socket
 
@@ -49,6 +50,11 @@ class TestConfig:
     def test_rejects_negative_workers(self):
         with pytest.raises(ParameterError):
             ServerConfig(workers=-1)
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_rejects_ports_outside_the_tcp_range(self, port):
+        with pytest.raises(ParameterError, match="port"):
+            ServerConfig(port=port)
 
     def test_batch_and_cache_knobs_validated_at_server_construction(
         self, grid_oracle
@@ -223,6 +229,18 @@ class TestLifecycle:
         thread.stop()
         assert not thread._thread.is_alive()
 
+    def test_failed_bind_releases_the_workers_and_their_segment(self, grid_oracle):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            config = ServerConfig(port=taken.getsockname()[1], workers=1)
+            server = OracleServer(grid_oracle, config)
+            ready = []
+            with pytest.raises(ParameterError, match="cannot serve"):
+                asyncio.run(server.serve(ready_callback=lambda *a: ready.append(a)))
+        assert not ready
+        assert server._shm is None and server._executor is None
+
     def test_ping(self, grid_oracle):
         with ServerThread(grid_oracle) as thread:
             with ServeClient(*thread.address) as client:
@@ -243,6 +261,16 @@ class TestLifecycle:
 
         with pytest.raises(ReproError, match="already started"):
             asyncio.run(boot_twice())
+
+    def test_serve_on_a_running_server_leaves_it_running(self, grid_oracle):
+        with ServerThread(grid_oracle) as thread:
+            again = asyncio.run_coroutine_threadsafe(
+                thread.server.serve(), thread._loop
+            )
+            with pytest.raises(ReproError, match="already started"):
+                again.result(timeout=30)
+            with ServeClient(*thread.address) as client:
+                assert client.ping()
 
 
 class TestTelemetry:

@@ -45,6 +45,26 @@ class TestTraceFlag:
     def test_trace_off_setting_is_accepted(self, capsys):
         assert main(["--trace", "off", "oracle", "build", "grid:5:5"]) == 0
 
+    def test_trace_off_overrides_the_environment(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "env.jsonl"
+        monkeypatch.setenv("REPRO_TELEMETRY", str(path))
+        assert main(["--trace", "off", "oracle", "build", "grid:6:6"]) == 0
+        assert not path.exists()
+        assert main(["oracle", "build", "grid:6:6"]) == 0
+        assert path.exists()
+
+    def test_every_oracle_build_is_timed(self, tmp_path, capsys):
+        """The oracle load memo must not turn a repeated build into an
+        untimed hit: each invocation writes its own oracle.build span."""
+        for name in ("first", "second"):
+            path = tmp_path / f"{name}.jsonl"
+            assert main(["--trace", str(path), "oracle", "build", "grid:6:6"]) == 0
+            _header, records = read_trace(path)
+            assert any(
+                r.get("name") == "oracle.build"
+                for r in records if r.get("kind") == "span"
+            )
+
     def test_oracle_artifact_always_carries_telemetry_block(self, tmp_path, capsys):
         path = tmp_path / "oracle.json"
         argv = [
@@ -293,13 +313,8 @@ class TestTraceExport:
 
 class TestProfileFlag:
     @pytest.fixture(autouse=True)
-    def _isolated_profile(self, monkeypatch):
-        from repro.telemetry import reset_profile
-
+    def _no_profile_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        reset_profile()
-        yield
-        reset_profile()
 
     def test_profiled_command_prints_the_flame_table(self, capsys):
         assert main(["--profile", "500", "oracle", "build", "grid:6:6"]) == 0
@@ -323,10 +338,36 @@ class TestProfileFlag:
         assert main(["--profile", "warp", "oracle", "build", "grid:5:5"]) == 2
         assert "profile" in capsys.readouterr().err
 
-    def test_env_setting_profiles_too(self, monkeypatch, capsys):
-        from repro.telemetry import reset_profile
+    def test_disabled_by_default(self, capsys):
+        assert main(["oracle", "build", "grid:6:6"]) == 0
+        assert "profile:" not in capsys.readouterr().err
 
+    def test_env_setting_profiles_too(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_PROFILE", "on")
-        reset_profile()
         assert main(["oracle", "build", "grid:6:6"]) == 0
         assert "profile:" in capsys.readouterr().err
+
+    def test_profile_off_overrides_the_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_PROFILE", "on")
+        assert main(["--profile", "off", "oracle", "build", "grid:6:6"]) == 0
+        assert "profile:" not in capsys.readouterr().err
+
+    def test_flag_rate_beats_the_environment_rate(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_PROFILE", "10")
+        assert main(["--profile", "50", "oracle", "build", "grid:6:6"]) == 0
+        assert " at 50 Hz " in capsys.readouterr().err
+        assert main(["oracle", "build", "grid:6:6"]) == 0
+        assert " at 10 Hz " in capsys.readouterr().err
+
+    def test_env_is_read_on_every_invocation(self, monkeypatch, capsys):
+        """No setting outlives a command: a changed REPRO_PROFILE takes
+        effect on the next invocation in the same process."""
+        monkeypatch.setenv("REPRO_PROFILE", "10")
+        assert main(["oracle", "build", "grid:6:6"]) == 0
+        assert " at 10 Hz " in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_PROFILE", "20")
+        assert main(["oracle", "build", "grid:6:6"]) == 0
+        assert " at 20 Hz " in capsys.readouterr().err
+        monkeypatch.delenv("REPRO_PROFILE")
+        assert main(["oracle", "build", "grid:6:6"]) == 0
+        assert "profile:" not in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""The sampling profiler: setting parsing, resolution, span attribution."""
+"""The sampling profiler: setting parsing, lifecycle, span attribution."""
 
 from __future__ import annotations
 
@@ -7,23 +7,8 @@ import time
 import pytest
 
 from repro.errors import ParameterError
-from repro.telemetry import (
-    SamplingProfiler,
-    Telemetry,
-    configure_profile,
-    parse_profile_setting,
-    reset_profile,
-    resolve_profile,
-)
+from repro.telemetry import SamplingProfiler, Telemetry, parse_profile_setting
 from repro.telemetry.profile import DEFAULT_HZ, MAX_HZ
-
-
-@pytest.fixture(autouse=True)
-def _isolated_profile_ambient(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    reset_profile()
-    yield
-    reset_profile()
 
 
 def _burn(seconds: float) -> int:
@@ -52,28 +37,6 @@ class TestSettingParsing:
         for setting in ("fast", "-5", str(MAX_HZ * 2)):
             with pytest.raises(ParameterError):
                 parse_profile_setting(setting)
-
-
-class TestAmbientResolution:
-    def test_disabled_by_default(self):
-        assert resolve_profile() is None
-
-    def test_explicit_beats_configured_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "10")
-        reset_profile()
-        assert resolve_profile() == 10.0
-        configure_profile(50.0)
-        assert resolve_profile() == 50.0
-        assert resolve_profile(99.0) == 99.0
-
-    def test_env_is_read_once_until_reset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "10")
-        reset_profile()
-        assert resolve_profile() == 10.0
-        monkeypatch.setenv("REPRO_PROFILE", "20")
-        assert resolve_profile() == 10.0  # cached
-        reset_profile()
-        assert resolve_profile() == 20.0
 
 
 class TestSamplingProfiler:

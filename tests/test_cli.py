@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main, parse_graph_spec
@@ -289,3 +291,38 @@ class TestCampaignCli:
             tmp_path / ".repro-campaigns" / "campaign-smoke-shard0of4"
             / "journal.jsonl"
         ).is_file()
+
+
+class TestServingErrors:
+    """Bad addresses and unreachable daemons are usage errors (exit 2)."""
+
+    def test_loadgen_address_file_without_host_port(self, tmp_path, capsys):
+        address = tmp_path / "addr.txt"
+        address.write_text("not-an-address\n")
+        assert main(["loadgen", "--addr-file", str(address)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "host:port" in err
+
+    def test_loadgen_without_a_daemon(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["loadgen", "--port", str(port)]) == 2
+        assert "cannot reach a serve daemon" in capsys.readouterr().err
+
+    def test_serve_port_out_of_range(self, capsys):
+        assert main(["serve", "path:5", "--port", "70000"]) == 2
+        assert "port must be in 0..65535" in capsys.readouterr().err
+
+    def test_serve_port_in_use(self, tmp_path, capsys):
+        ready = tmp_path / "ready.txt"
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            argv = [
+                "serve", "path:5", "--port", str(taken.getsockname()[1]),
+                "--workers", "1", "--ready-file", str(ready),
+            ]
+            assert main(argv) == 2
+        assert "cannot serve on" in capsys.readouterr().err
+        assert not ready.exists()
