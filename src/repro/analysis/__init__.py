@@ -15,7 +15,6 @@ from .order_statistics import (
     lemma5_bound,
 )
 from .quality import QualityReport, report
-from .sweeps import Sweep, aggregate, run_sweep
 from .survival import (
     SurvivalSummary,
     aggregate_survival,
@@ -39,13 +38,10 @@ __all__ = [
     "GapStatistics",
     "QualityReport",
     "SurvivalSummary",
-    "Sweep",
     "TheoryRow",
-    "aggregate",
     "aggregate_survival",
     "gap_profile",
     "phase_gap_statistics",
-    "run_sweep",
     "aglp_row",
     "claim6_envelope",
     "claim8_envelope",

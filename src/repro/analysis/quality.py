@@ -61,8 +61,7 @@ def report(decomposition: NetworkDecomposition) -> QualityReport:
     sizes = decomposition.cluster_sizes()
     strong = decomposition.strong_diameters()
     weak = decomposition.weak_diameters()
-    cluster_of = decomposition.cluster_index_map()
-    cut = sum(1 for u, v in graph.edges() if cluster_of[u] != cluster_of[v])
+    cut = decomposition.cut_edges()
     return QualityReport(
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,

@@ -204,17 +204,12 @@ def run_leader_collect_app(
     algorithms = []
     for v in graph.vertices():
         cluster = decomposition.cluster_of(v)
-        leader = (
-            cluster.center
-            if cluster.center is not None and cluster.center in cluster.vertices
-            else min(cluster.vertices)
-        )
         algorithms.append(
             LeaderCollectNode(
                 vertex=v,
                 cluster_index=cluster.index,
                 color=cluster.color,
-                is_leader=(v == leader),
+                is_leader=(v == cluster.leader),
                 task=task_factory(),
                 color_order=color_order,
                 diameter=diameter_int,

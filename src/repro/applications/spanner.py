@@ -88,12 +88,7 @@ def build_spanner(graph: Graph, decomposition: NetworkDecomposition) -> SpannerR
     spanner_edges: set[Edge] = set()
     tree_count = 0
     for cluster in decomposition.clusters:
-        root = (
-            cluster.center
-            if cluster.center is not None and cluster.center in cluster.vertices
-            else min(cluster.vertices)
-        )
-        tree = _cluster_tree_edges(graph, cluster.vertices, root)
+        tree = _cluster_tree_edges(graph, cluster.vertices, cluster.leader)
         tree_count += len(tree)
         spanner_edges.update(tree)
     # One connecting edge per adjacent cluster pair (lexicographically

@@ -21,17 +21,20 @@ radii from the same ``(seed, phase, vertex)`` streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..core.decomposition import Cluster, NetworkDecomposition
+from ..core.decomposition import NetworkDecomposition
 from ..distributed.metrics import NetworkStats
 from ..distributed.phases import DriverRun, PhaseNode, PhaseProtocol
-from ..errors import ParameterError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED
-from .linial_saks import sample_ls_phase_radii, sample_ls_radius
+from .linial_saks import (
+    center_classes,
+    ls_parameters,
+    sample_ls_phase_radii,
+    sample_ls_radius,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import Telemetry
@@ -102,16 +105,7 @@ def decompose_distributed(
     ``telemetry`` (or the ambient trace) enables phase spans and the
     ``ls.rounds`` metrics stream.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    n = graph.num_vertices
-    if p is None:
-        p = float(max(n, 2)) ** (-1.0 / k)
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must be in (0, 1), got {p}")
-    nominal = max(
-        1, math.ceil(2.0 * max(n, 2) ** (1.0 / k) * math.log(max(n, 2)) / max(1.0 - p, 1e-9))
-    )
+    p, nominal = ls_parameters(graph.num_vertices, k, p)
 
     def draw(phase, active):
         radii = sample_ls_phase_radii(seed, phase, active, p, k)
@@ -126,7 +120,7 @@ def decompose_distributed(
         "ls", graph, seed, word_budget, backend, delivery, faults, telemetry
     ).run_phases(
         PhaseProtocol(
-            attrs={"n": n, "k": k},
+            attrs={"n": graph.num_vertices, "k": k},
             nominal_phases=nominal,
             draw=draw,
             node=lambda v: LSNodeAlgorithm(v, seed, p, k),
@@ -135,22 +129,8 @@ def decompose_distributed(
         ),
         max_phases,
     )
-    clusters: list[Cluster] = []
-    for color, joined in enumerate(run.joined):
-        by_center: dict[int, list[int]] = {}
-        for v, center in joined.items():
-            by_center.setdefault(center, []).append(v)
-        for center in sorted(by_center):
-            clusters.append(
-                Cluster(
-                    index=len(clusters),
-                    color=color,
-                    vertices=frozenset(by_center[center]),
-                    center=center,
-                )
-            )
     return DistributedLSResult(
-        decomposition=NetworkDecomposition(graph, clusters),
+        decomposition=center_classes(graph, run.joined),
         stats=run.stats,
         phases=len(run.joined),
         rounds_per_phase=run.rounds_per_phase,

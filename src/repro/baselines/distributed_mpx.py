@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
 
-from ..core.decomposition import Cluster, NetworkDecomposition
+from ..core.decomposition import NetworkDecomposition
 from ..distributed.message import Message
 from ..distributed.metrics import NetworkStats
 from ..distributed.node import Context
@@ -34,7 +34,7 @@ from ..distributed.phases import DriverRun, PhaseNode
 from ..errors import ParameterError, SimulationError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED, stream
-from .mpx import sample_shifts
+from .mpx import center_partition, sample_shifts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import Telemetry
@@ -158,19 +158,12 @@ def partition_distributed(
             run_span.add("rounds", budget + 1)
     if run_span is not None:
         run.tel.histogram("mpx.partition_seconds").record(run_span.seconds)
-    by_center: dict[int, list[int]] = {}
-    for v, center in center_of.items():
-        by_center.setdefault(center, []).append(v)
-    clusters = [
-        Cluster(index=i, color=i, vertices=frozenset(by_center[center]), center=center)
-        for i, center in enumerate(sorted(by_center))
-    ]
-    cut = sum(1 for u, v in graph.edges() if center_of[u] != center_of[v])
+    decomposition, cut, fraction = center_partition(graph, center_of)
     return DistributedMPXResult(
-        decomposition=NetworkDecomposition(graph, clusters),
+        decomposition=decomposition,
         center_of=center_of,
         stats=stats,
         rounds=budget + 1,
         cut_edges=cut,
-        cut_fraction=cut / graph.num_edges if graph.num_edges else 0.0,
+        cut_fraction=fraction,
     )

@@ -35,16 +35,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from ..core.decomposition import Cluster, NetworkDecomposition
+from ..core.decomposition import NetworkDecomposition
 from ..errors import ParameterError, SimulationError
 from ..graphs.activeset import ActiveSet
 from ..graphs.graph import Graph
 from ..graphs.traversal import bfs_distances_bounded
 from ..rng import DEFAULT_SEED, prefix_uniforms, stream
 
-__all__ = ["LSTrace", "sample_ls_radius", "sample_ls_phase_radii", "ls_phase", "decompose"]
+__all__ = [
+    "LSTrace", "sample_ls_radius", "sample_ls_phase_radii", "ls_phase", "decompose",
+    "ls_parameters", "center_classes",
+]
 
 
 @dataclass
@@ -98,6 +101,31 @@ def _check_geometric(p: float, k: int) -> None:
         raise ParameterError(f"p must be in (0, 1), got {p}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
+
+
+def ls_parameters(n: int, k: int, p: float | None = None) -> tuple[float, int]:
+    """Check ``k`` and ``p`` (default ``n^{-1/k}``) of an ``n``-vertex run;
+    return ``p`` and the nominal ``O(n^{1/k}·log n)`` phase budget."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if p is None:
+        p = float(max(n, 2)) ** (-1.0 / k)
+    _check_geometric(p, k)
+    nominal = max(
+        1, math.ceil(2.0 * max(n, 2) ** (1.0 / k) * math.log(max(n, 2)) / max(1.0 - p, 1e-9))
+    )
+    return p, nominal
+
+
+def center_classes(graph: Graph, joined: Sequence[Mapping[int, int]]) -> NetworkDecomposition:
+    """The center classes of each phase's ``vertex -> center`` choices,
+    coloured phase − 1."""
+    center_of: dict[int, int] = {}
+    color_of: dict[int, int] = {}
+    for color, chosen in enumerate(joined):
+        center_of.update(chosen)
+        color_of.update(dict.fromkeys(chosen, color))
+    return NetworkDecomposition.from_centers(graph, center_of, color_of)
 
 
 def _capped_geometric(u: float, p: float, k: int) -> int:
@@ -170,19 +198,12 @@ def decompose(
         result faithfully exhibits the weak-diameter behaviour; colour =
         phase − 1.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    n = graph.num_vertices
-    if p is None:
-        p = float(max(n, 2)) ** (-1.0 / k)
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must be in (0, 1), got {p}")
-    nominal = max(1, math.ceil(2.0 * max(n, 2) ** (1.0 / k) * math.log(max(n, 2)) / max(1.0 - p, 1e-9)))
+    p, nominal = ls_parameters(graph.num_vertices, k, p)
     if max_phases is None:
         max_phases = 10 * nominal + 100
     active = ActiveSet.full(graph.num_vertices)
     trace = LSTrace(nominal_phases=nominal)
-    clusters: list[Cluster] = []
+    joined: list[dict[int, int]] = []
     phase = 0
     while active:
         phase += 1
@@ -192,22 +213,11 @@ def decompose(
             )
         radii = sample_ls_phase_radii(seed, phase, active, p, k)
         block, center_of = ls_phase(graph, active, radii)
-        by_center: dict[int, list[int]] = {}
-        for x, center in center_of.items():
-            by_center.setdefault(center, []).append(x)
-        for center in sorted(by_center):
-            clusters.append(
-                Cluster(
-                    index=len(clusters),
-                    color=phase - 1,
-                    vertices=frozenset(by_center[center]),
-                    center=center,
-                )
-            )
+        joined.append(center_of)
         active -= block
         trace.survivors.append(len(active))
         trace.block_sizes.append(len(block))
         trace.max_radius_per_phase.append(max(radii.values(), default=0))
     trace.phases = phase
     trace.exhausted_within_nominal = phase <= nominal
-    return NetworkDecomposition(graph, clusters), trace
+    return center_classes(graph, joined), trace

@@ -32,13 +32,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
-from ..core.decomposition import Cluster, NetworkDecomposition
+from ..core.decomposition import NetworkDecomposition
 from ..errors import ParameterError
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED, prefix_uniforms
 
-__all__ = ["MPXResult", "sample_shifts", "partition"]
+__all__ = ["MPXResult", "center_partition", "sample_shifts", "partition"]
 
 
 @dataclass
@@ -81,6 +82,19 @@ def sample_shifts(graph: Graph, beta: float, seed: int = DEFAULT_SEED) -> dict[i
     log = math.log
     uniforms = prefix_uniforms(seed, ("mpx-shift",), graph.vertices())
     return {u: -log(1.0 - x) / beta for u, x in uniforms}
+
+
+def center_partition(
+    graph: Graph, center_of: Mapping[int, int]
+) -> tuple[NetworkDecomposition, int, float]:
+    """``(decomposition, cut_edges, cut_fraction)`` of an assignment: one
+    cluster per center, coloured by the center's rank."""
+    rank = {center: color for color, center in enumerate(sorted(set(center_of.values())))}
+    decomposition = NetworkDecomposition.from_centers(
+        graph, center_of, {v: rank[center] for v, center in center_of.items()}
+    )
+    cut = decomposition.cut_edges()
+    return decomposition, cut, cut / graph.num_edges if graph.num_edges else 0.0
 
 
 def partition(
@@ -142,17 +156,7 @@ def partition(
                 best_key[w] = candidate
                 center_of[w] = center
                 heapq.heappush(heap, (candidate, center, w))
-    # Group into clusters; each cluster gets its own colour.
-    by_center: dict[int, list[int]] = {}
-    for y, center in center_of.items():
-        by_center.setdefault(center, []).append(y)
-    clusters = [
-        Cluster(index=i, color=i, vertices=frozenset(by_center[center]), center=center)
-        for i, center in enumerate(sorted(by_center))
-    ]
-    decomposition = NetworkDecomposition(graph, clusters)
-    cut = sum(1 for u, v in graph.edges() if center_of[u] != center_of[v])
-    fraction = cut / graph.num_edges if graph.num_edges else 0.0
+    decomposition, cut, fraction = center_partition(graph, center_of)
     return MPXResult(
         decomposition=decomposition,
         center_of=center_of,

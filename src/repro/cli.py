@@ -43,7 +43,9 @@ Subcommands
 The global ``--profile HZ`` flag (or ``REPRO_PROFILE=HZ``) runs any
 command under the stdlib sampling profiler: the collapsed flame table
 (samples attributed to the open span path) is printed to stderr at
-exit and mirrored into the active trace file, if any.  ``--trace`` and
+exit and mirrored into the active trace file, if any.  A profiled run
+without a trace keeps an in-memory one, so its rows still carry span
+paths; only ``--trace off`` opts out.  ``--trace`` and
 ``--profile`` win over their environment variables in both directions:
 ``--trace off`` and ``--profile off`` disable what the environment
 enables.
@@ -57,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import pathlib
 import sys
@@ -77,7 +78,7 @@ from .applications.verify import (
     is_proper_vertex_coloring,
 )
 from .baselines import linial_saks
-from .core import elkin_neiman, high_radius, staged
+from .core import default_k, elkin_neiman, high_radius, staged
 from .errors import ParameterError
 from .experiments import (
     CAMPAIGNS,
@@ -176,7 +177,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     graph = parse_graph_spec(args.graph, seed=args.seed)
-    k = args.k or max(2, math.ceil(math.log(max(graph.num_vertices, 2))))
+    k = args.k or default_k(graph.num_vertices)
     en, _ = elkin_neiman.decompose(graph, k=k, seed=args.seed)
     ls, _ = linial_saks.decompose(graph, k=k, seed=args.seed)
     rows = []
@@ -538,7 +539,6 @@ def _load_oracle(args: argparse.Namespace, telemetry=None):
         c=args.c,
         overlap_budget=args.budget,
         telemetry=telemetry,
-        use_cache=False,
     )
 
 
@@ -1457,9 +1457,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             else os.environ.get("REPRO_PROFILE", "off")
         )
         if hz is not None:
-            # Bind to the ambient trace (if any) so samples carry the
-            # open span path; the sampler only reads, never records.
-            profiler = SamplingProfiler(hz, telemetry=resolve(None))
+            # Bind to the ambient trace so samples carry the open span
+            # path; the sampler only reads, never records.  Without one
+            # (and without an explicit --trace off) an in-memory trace
+            # is installed, as --trace mem would: it writes no file.
+            tel = resolve(None)
+            if tel is None and args.trace is None:
+                tel = configure(Telemetry())
+            profiler = SamplingProfiler(hz, telemetry=tel)
             profiler.start()
         return args.func(args)
     except ParameterError as exc:

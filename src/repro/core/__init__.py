@@ -25,6 +25,7 @@ from .params import (
     Theorem1Schedule,
     Theorem2Schedule,
     Theorem3Schedule,
+    default_k,
     theorem1_bounds,
     theorem2_bounds,
     theorem3_bounds,
@@ -54,6 +55,7 @@ __all__ = [
     "broadcast_reach",
     "carve_block",
     "decompose_distributed",
+    "default_k",
     "elkin_neiman",
     "find_truncation_events",
     "high_radius",

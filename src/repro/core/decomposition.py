@@ -17,7 +17,7 @@ offers exact checks of every part of the definition:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import DecompositionError
@@ -58,6 +58,14 @@ class Cluster:
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self.vertices
+
+    @property
+    def leader(self) -> int:
+        """The cluster's root: its center if that is a member, else its
+        smallest member (a Linial–Saks center can lie outside its class)."""
+        if self.center is not None and self.center in self.vertices:
+            return self.center
+        return min(self.vertices)
 
 
 class NetworkDecomposition:
@@ -118,6 +126,22 @@ class NetworkDecomposition:
                 )
         return NetworkDecomposition(graph, clusters)
 
+    @staticmethod
+    def from_centers(
+        graph: Graph, center_of: Mapping[int, int], color_of: Mapping[int, int]
+    ) -> "NetworkDecomposition":
+        """One cluster per ``(color_of[v], center_of[v])`` pair, indexed in
+        ``(colour, center)`` order.  Unlike :meth:`from_blocks`, nothing is
+        split into components: a class may be disconnected (Linial–Saks)."""
+        classes: dict[tuple[int, int], list[int]] = {}
+        for v, center in center_of.items():
+            classes.setdefault((color_of[v], center), []).append(v)
+        clusters = [
+            Cluster(index=index, color=color, vertices=frozenset(members), center=center)
+            for index, ((color, center), members) in enumerate(sorted(classes.items()))
+        ]
+        return NetworkDecomposition(graph, clusters)
+
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
@@ -154,6 +178,11 @@ class NetworkDecomposition:
     def cluster_sizes(self) -> list[int]:
         """Sizes of all clusters, in cluster-index order."""
         return [len(cluster) for cluster in self.clusters]
+
+    def cut_edges(self) -> int:
+        """Number of edges whose endpoints lie in different clusters."""
+        label = self._vertex_to_cluster
+        return sum(1 for u, v in self.graph.edges() if label[u] != label[v])
 
     # ------------------------------------------------------------------
     # The supergraph G(P)

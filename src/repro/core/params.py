@@ -32,6 +32,7 @@ __all__ = [
     "theorem2_bounds",
     "theorem3_bounds",
     "Bounds",
+    "default_k",
 ]
 
 
@@ -207,6 +208,15 @@ class Theorem3Schedule(Theorem1Schedule):
         # Phase budget is λ in this regime, not (cn)^{1/k}·ln(cn).
         object.__setattr__(schedule, "nominal_phases", lam)
         return schedule
+
+
+def default_k(n: int) -> int:
+    """The ``k`` used when none is given: ``max(2, ⌈ln n⌉)``.
+
+    Theorem 1 at ``k = ln n`` gives the ``(O(log n), O(log n))`` regime
+    of the paper's title; the floor of 2 keeps tiny graphs carvable.
+    """
+    return max(2, math.ceil(math.log(max(n, 2))))
 
 
 # ----------------------------------------------------------------------

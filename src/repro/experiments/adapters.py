@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict
 
+from ..analysis.quality import report
 from ..applications import run_mis
 from ..applications.verify import is_maximal_independent_set
 from ..baselines import distributed_ls, distributed_mpx, linial_saks
-from ..core import elkin_neiman, high_radius, staged, theorem1_bounds
+from ..core import default_k, elkin_neiman, high_radius, staged, theorem1_bounds
 from ..core.distributed_en import decompose_distributed
 from ..errors import ParameterError
 from ..graphs import (
@@ -49,14 +50,13 @@ def _json_safe(value: float) -> float | None:
 
 
 def _quality_fields(decomposition) -> Record:
-    strong = decomposition.strong_diameters()
-    disconnected = sum(1 for d in strong if math.isinf(d))
+    quality = report(decomposition)
     return {
-        "clusters": decomposition.num_clusters,
-        "colors": decomposition.num_colors,
-        "strong_diameter": _json_safe(max(strong, default=0.0)),
-        "weak_diameter": max(decomposition.weak_diameters(), default=0.0),
-        "disconnected": disconnected,
+        "clusters": quality.num_clusters,
+        "colors": quality.num_colors,
+        "strong_diameter": _json_safe(quality.max_strong_diameter),
+        "weak_diameter": quality.max_weak_diameter,
+        "disconnected": quality.num_disconnected_clusters,
     }
 
 
@@ -71,9 +71,7 @@ def _trace_fields(trace) -> Record:
 
 def _default_k(graph: Graph, params: Record) -> float:
     k = params.get("k")
-    if k is None:
-        k = max(2, math.ceil(math.log(max(graph.num_vertices, 2))))
-    return k
+    return default_k(graph.num_vertices) if k is None else k
 
 
 def _cluster_checksum(decomposition) -> int:
@@ -359,6 +357,40 @@ def _adapt_oracle(graph: Graph, trial: TrialSpec) -> Record:
     }
 
 
+def _run_protocol(graph: Graph, params: Record, seed: int, adapter: str, **engine):
+    """Run the EN, LS or MPX driver ``params["algo"]`` names, with the
+    ``engine`` keywords (backend, delivery, faults, telemetry); return
+    ``(result, rounds, phases)``.  ``adapter`` names the caller in errors."""
+    algo = params.get("algo", "en")
+    if algo == "en":
+        result = decompose_distributed(
+            graph,
+            k=_default_k(graph, params),
+            c=params.get("c", 4.0),
+            seed=seed,
+            mode=params.get("mode", "toptwo"),
+            **engine,
+        )
+        return result, result.total_rounds, result.phases
+    if algo == "ls":
+        result = distributed_ls.decompose_distributed(
+            graph, k=int(_default_k(graph, params)), seed=seed, **engine
+        )
+        return result, result.total_rounds, result.phases
+    if algo == "mpx":
+        result = distributed_mpx.partition_distributed(
+            graph,
+            beta=params.get("beta", 0.3),
+            seed=seed,
+            mode=params.get("mode", "topone"),
+            **engine,
+        )
+        return result, result.rounds, 1
+    raise ParameterError(
+        f"{adapter} algo must be 'en', 'ls' or 'mpx', got {algo!r}"
+    )
+
+
 def _adapt_shootout(graph: Graph, trial: TrialSpec) -> Record:
     """Protocol race leg: one of EN/LS/MPX on one backend, one graph.
 
@@ -376,40 +408,10 @@ def _adapt_shootout(graph: Graph, trial: TrialSpec) -> Record:
     params = trial.param_dict()
     algo = params.get("algo", "en")
     backend = params.get("backend", "batch")
-    if algo == "en":
-        result = decompose_distributed(
-            graph,
-            k=_default_k(graph, params),
-            c=params.get("c", 4.0),
-            seed=trial.seed,
-            mode=params.get("mode", "toptwo"),
-            backend=backend,
-        )
-        decomposition = result.decomposition
-        rounds, phases, stats = result.total_rounds, result.phases, result.stats
-    elif algo == "ls":
-        result = distributed_ls.decompose_distributed(
-            graph,
-            k=int(_default_k(graph, params)),
-            seed=trial.seed,
-            backend=backend,
-        )
-        decomposition = result.decomposition
-        rounds, phases, stats = result.total_rounds, result.phases, result.stats
-    elif algo == "mpx":
-        result = distributed_mpx.partition_distributed(
-            graph,
-            beta=params.get("beta", 0.3),
-            seed=trial.seed,
-            mode=params.get("mode", "topone"),
-            backend=backend,
-        )
-        decomposition = result.decomposition
-        rounds, phases, stats = result.rounds, 1, result.stats
-    else:
-        raise ParameterError(
-            f"shootout algo must be 'en', 'ls' or 'mpx', got {algo!r}"
-        )
+    result, rounds, phases = _run_protocol(
+        graph, params, trial.seed, "shootout", backend=backend
+    )
+    decomposition, stats = result.decomposition, result.stats
     record: Record = {
         "n": graph.num_vertices,
         "m": graph.num_edges,
@@ -465,47 +467,15 @@ def _adapt_robustness(graph: Graph, trial: TrialSpec) -> Record:
     faults = str(params.get("faults", "none"))
     fault_arg = None if faults in ("", "none") else faults
     tel = Telemetry()
-    if algo == "en":
-        kwargs = dict(
-            k=_default_k(graph, params),
-            c=params.get("c", 4.0),
-            seed=trial.seed,
-            mode=params.get("mode", "toptwo"),
-        )
-        run = decompose_distributed(
-            graph, backend="async", delivery=delivery, faults=fault_arg,
-            telemetry=tel, **kwargs,
-        )
-        ref = decompose_distributed(graph, **kwargs)
-        rounds, phases = run.total_rounds, run.phases
-    elif algo == "ls":
-        kwargs = dict(k=int(_default_k(graph, params)), seed=trial.seed)
-        run = distributed_ls.decompose_distributed(
-            graph, backend="async", delivery=delivery, faults=fault_arg,
-            telemetry=tel, **kwargs,
-        )
-        ref = distributed_ls.decompose_distributed(graph, **kwargs)
-        rounds, phases = run.total_rounds, run.phases
-    elif algo == "mpx":
-        kwargs = dict(
-            beta=params.get("beta", 0.3),
-            seed=trial.seed,
-            mode=params.get("mode", "topone"),
-        )
-        # The one-shot competition needs every vertex to decide, so
-        # robustness grids give MPX drop faults only (see the driver
-        # docstring); a crash through the decision round raises
-        # SimulationError.
-        run = distributed_mpx.partition_distributed(
-            graph, backend="async", delivery=delivery, faults=fault_arg,
-            telemetry=tel, **kwargs,
-        )
-        ref = distributed_mpx.partition_distributed(graph, **kwargs)
-        rounds, phases = run.rounds, 1
-    else:
-        raise ParameterError(
-            f"robustness algo must be 'en', 'ls' or 'mpx', got {algo!r}"
-        )
+    # The one-shot MPX competition needs every vertex to decide, so
+    # robustness grids give MPX drop faults only (see the
+    # `partition_distributed` docstring); a crash through the decision
+    # round raises SimulationError.
+    run, rounds, phases = _run_protocol(
+        graph, params, trial.seed, "robustness",
+        backend="async", delivery=delivery, faults=fault_arg, telemetry=tel,
+    )
+    ref, _, _ = _run_protocol(graph, params, trial.seed, "robustness")
     attrs = next(s for s in tel.spans if s["depth"] == 0)["attrs"]
     decomposition = run.decomposition
     record: Record = {
@@ -518,9 +488,7 @@ def _adapt_robustness(graph: Graph, trial: TrialSpec) -> Record:
         "phases": phases,
         "colors": decomposition.num_colors,
         "clusters": decomposition.num_clusters,
-        "disconnected": sum(
-            1 for d in decomposition.strong_diameters() if math.isinf(d)
-        ),
+        "disconnected": report(decomposition).num_disconnected_clusters,
         "checksum": _cluster_checksum(decomposition),
         "matches_sync": (
             decomposition.cluster_index_map()

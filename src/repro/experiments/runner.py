@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ParameterError
-from ..telemetry import maybe_span, measure_span, resolve
+from ..telemetry import Telemetry, maybe_span, measure_span, resolve, scoped
 from .adapters import run_trial
 from .cache import ResultCache
 from .spec import ExperimentSpec, TrialSpec
@@ -99,12 +99,24 @@ def _execute_captured(
         return index, None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
 
-def _execute_serially(trials: Sequence[TrialSpec]):
-    """Run ``trials`` in order, each under a measured ``trial`` span."""
-    tel = resolve(None)
-    for item in enumerate(trials):
-        with maybe_span(tel, "trial", key=item[1].key()) as span, measure_span(span):
-            outcome = _execute_captured(item)
+def _execute_measured(item: Tuple[int, TrialSpec], tel: Optional[Telemetry]):
+    """Run one ``(index, trial)`` under a measured ``trial`` span of ``tel``."""
+    with maybe_span(tel, "trial", key=item[1].key()) as span, measure_span(span):
+        return _execute_captured(item)
+
+
+def _execute_traced(item: Tuple[int, TrialSpec]):
+    """Pool worker of a traced run: record the trial into a fresh trace
+    and return it with the outcome, for the parent to graft."""
+    child = Telemetry()
+    with scoped(child):
+        return _execute_measured(item, child), child
+
+
+def _grafted(tel: Telemetry, outcomes):
+    """Graft each worker's trace into ``tel`` as its outcome arrives."""
+    for outcome, child in outcomes:
+        tel.graft(child)
         yield outcome
 
 
@@ -116,23 +128,31 @@ def execute_trials(
 ) -> Iterator[Tuple[int, TrialResult]]:
     """Run every trial of ``trials``; yield ``(index, result)`` as each ends.
 
-    ``workers <= 1`` (or a single trial) runs them in order in-process,
-    each under a ``trial`` span of the ambient trace with its resource
-    usage measured; ``N > 1`` fans them out over a
+    Each trial runs under a ``trial`` span of the ambient trace with its
+    resource usage measured.  ``workers <= 1`` (or a single trial) runs
+    them in order in-process; ``N > 1`` fans them out over a
     ``multiprocessing.Pool(N)``, ``chunksize`` trials per pool task, and
-    yields in completion order.  Fresh records are stored in ``cache``
-    before they are yielded.  Closing the generator early terminates and
-    joins the pool, so a caller that may stop before the end wraps it in
-    :func:`contextlib.closing`.
+    yields in completion order.  A traced pool worker records its trial
+    into its own trace, which is grafted under the open span here as the
+    trial ends, so the span tree does not depend on ``workers``.  Fresh
+    records are stored in ``cache`` before they are yielded.  Closing
+    the generator early terminates and joins the pool, so a caller that
+    may stop before the end wraps it in :func:`contextlib.closing`.
     """
+    tel = resolve(None)
     if workers > 1 and len(trials) > 1:
         pool = multiprocessing.Pool(processes=workers)
-        outcomes = pool.imap_unordered(
-            _execute_captured, enumerate(trials), chunksize
-        )
+        if tel is None:
+            outcomes = pool.imap_unordered(
+                _execute_captured, enumerate(trials), chunksize
+            )
+        else:
+            outcomes = _grafted(
+                tel, pool.imap_unordered(_execute_traced, enumerate(trials), chunksize)
+            )
     else:
         pool = None
-        outcomes = _execute_serially(trials)
+        outcomes = (_execute_measured(item, tel) for item in enumerate(trials))
     try:
         for index, record, error in outcomes:
             trial = trials[index]

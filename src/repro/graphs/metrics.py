@@ -15,8 +15,8 @@ import math
 from typing import Collection, Container, Iterable
 
 from ..errors import GraphError
-from .activeset import ActiveSet
 from .graph import Graph
+from .subgraph import induced_subgraph
 from .traversal import bfs_distances, bfs_levels
 
 __all__ = [
@@ -35,8 +35,6 @@ def _universe(graph: Graph, active: Container[int] | None) -> list[int]:
     """Sorted list of active vertices (all vertices when ``active`` is None)."""
     if active is None:
         return list(graph.vertices())
-    if isinstance(active, ActiveSet):
-        return list(active)
     return [v for v in graph.vertices() if v in active]
 
 
@@ -98,10 +96,11 @@ def strong_diameter(graph: Graph, cluster: Collection[int]) -> float:
 
     ``math.inf`` when the induced subgraph is disconnected — the situation
     the paper's algorithm provably avoids and the Linial–Saks baseline does
-    not (experiment E10).
+    not (experiment E10).  The BFS sweeps run on the relabelled
+    :func:`~repro.graphs.subgraph.induced_subgraph`, so their cost scales
+    with the cluster, not with ``graph``.
     """
-    members = ActiveSet.from_iterable(graph.num_vertices, cluster)
-    return diameter(graph, active=members)
+    return diameter(induced_subgraph(graph, cluster)[0])
 
 
 def weak_diameter(graph: Graph, cluster: Collection[int]) -> float:

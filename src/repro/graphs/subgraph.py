@@ -13,7 +13,6 @@ from typing import Collection, Mapping, Sequence
 
 from ..errors import GraphError
 from . import _kernel
-from .activeset import as_active_mask
 from .graph import Graph, GraphBuilder
 
 __all__ = ["induced_subgraph", "quotient_graph", "relabel"]
@@ -24,8 +23,9 @@ def induced_subgraph(
 ) -> tuple[Graph, dict[int, int]]:
     """The subgraph induced by ``vertices``, relabelled to ``0..len-1``.
 
-    Membership is tested against a byte mask while scanning the CSR rows
-    of the selected vertices, so the cost is O(sum of their degrees).
+    Membership is tested against the relabelling dict while scanning the
+    CSR rows of the selected vertices, so the cost is O(sum of their
+    degrees), independent of the host graph's size.
 
     Returns
     -------
@@ -37,13 +37,11 @@ def induced_subgraph(
     for v in ordered:
         graph._check_vertex(v)
     to_new = {v: i for i, v in enumerate(ordered)}
-    mask = as_active_mask(graph.num_vertices, ordered)
-    assert mask is not None
     indptr, indices = graph.csr()
     builder = GraphBuilder(len(ordered))
     for v in ordered:
         for w in indices[indptr[v] : indptr[v + 1]]:
-            if w > v and mask[w]:
+            if w > v and w in to_new:
                 builder.add_edge(to_new[v], to_new[w])
     return builder.build(), to_new
 

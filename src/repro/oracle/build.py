@@ -52,6 +52,7 @@ import math
 from array import array
 from typing import TYPE_CHECKING
 
+from ..core.params import default_k
 from ..errors import ParameterError, SimulationError
 from ..graphs import _kernel
 from ..graphs._kernel import (
@@ -65,13 +66,7 @@ from ..graphs._kernel import bfs_levels as _kernel_bfs_levels
 from ..graphs.graph import Graph
 from ..rng import DEFAULT_SEED
 from ..telemetry import maybe_span, measure_span, resolve
-from .hierarchy import (
-    CoreLevel,
-    _default_k,
-    base_level,
-    coarsen_level,
-    component_level,
-)
+from .hierarchy import CoreLevel, base_level, coarsen_level, component_level
 from .tables import DistanceOracle, ScaleTables
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -375,7 +370,7 @@ def build_oracle(
             f"overlap_budget must be finite and >= 1, got {overlap_budget}"
         )
     if k is None:
-        k = _default_k(n)
+        k = default_k(n)
     if max_depth is None:
         max_depth = max(2, math.ceil(math.log2(max(n, 2))) + 2)
     oracle = DistanceOracle(

@@ -31,11 +31,11 @@ rather than bounded by χ.  ``docs/oracle.md`` discusses the trade-off.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 
 from ..core import elkin_neiman
+from ..core.params import default_k
 from ..graphs.graph import Graph
 from ..graphs.subgraph import quotient_graph
 from ..graphs.traversal import connected_components
@@ -64,24 +64,6 @@ class CoreLevel:
         return len(self.centers)
 
 
-def _level_from_decomposition(graph: Graph, decomposition) -> CoreLevel:
-    """Flatten a :class:`NetworkDecomposition` into a :class:`CoreLevel`."""
-    core_of = array("l", bytes(array("l").itemsize * graph.num_vertices))
-    centers: list[int] = []
-    for cluster in decomposition.clusters:
-        for v in cluster.vertices:
-            core_of[v] = cluster.index
-        center = cluster.center
-        if center is None or center not in cluster.vertices:
-            center = min(cluster.vertices)
-        centers.append(center)
-    return CoreLevel(core_of=core_of, centers=centers, is_components=False)
-
-
-def _default_k(n: int) -> float:
-    return max(2, math.ceil(math.log(max(n, 2))))
-
-
 def base_level(graph: Graph, k: float, c: float, seed: int) -> CoreLevel:
     """Level 0: the paper's Theorem 1 decomposition of ``G`` itself."""
     if graph.num_vertices == 0:
@@ -89,7 +71,12 @@ def base_level(graph: Graph, k: float, c: float, seed: int) -> CoreLevel:
     decomposition, _ = elkin_neiman.decompose(
         graph, k=k, c=c, seed=derive_seed(seed, "oracle", "level", 0)
     )
-    level = _level_from_decomposition(graph, decomposition)
+    labels = decomposition.cluster_index_map()
+    level = CoreLevel(
+        core_of=array("l", map(labels.__getitem__, range(graph.num_vertices))),
+        centers=[cluster.leader for cluster in decomposition.clusters],
+        is_components=False,
+    )
     return _mark_if_components(graph, level)
 
 
@@ -98,22 +85,19 @@ def coarsen_level(
 ) -> CoreLevel:
     """Level ``depth``: decompose the supergraph of ``level`` and merge cores."""
     quotient = quotient_graph(graph, level.core_of, level.num_cores)
-    k_q = _default_k(quotient.num_vertices)
+    k_q = default_k(quotient.num_vertices)
     decomposition, _ = elkin_neiman.decompose(
         quotient, k=k_q, c=c, seed=derive_seed(seed, "oracle", "level", depth)
     )
     merged_of = decomposition.cluster_index_map()
     merged = [merged_of[core] for core in range(level.num_cores)]
-    core_of = array("l", map(merged.__getitem__, level.core_of))
-    centers: list[int] = []
-    for cluster in decomposition.clusters:
-        root = cluster.center
-        if root is None or root not in cluster.vertices:
-            root = min(cluster.vertices)
-        # The quotient cluster's center is a supernode; its G-center is
+    coarse = CoreLevel(
+        core_of=array("l", map(merged.__getitem__, level.core_of)),
+        # A quotient cluster's leader is a supernode; its G-center is
         # that supernode's own center vertex from the finer level.
-        centers.append(level.centers[root])
-    coarse = CoreLevel(core_of=core_of, centers=centers, is_components=False)
+        centers=[level.centers[cluster.leader] for cluster in decomposition.clusters],
+        is_components=False,
+    )
     return _mark_if_components(graph, coarse)
 
 

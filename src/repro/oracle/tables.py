@@ -29,7 +29,6 @@ and its estimate ``d(c, s) + d(c, t)`` is at most ``2 · max(ecc_i)``.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -222,11 +221,6 @@ class DistanceOracle:
 # Shared table loading (CLI + serving daemon)
 # ----------------------------------------------------------------------
 
-#: Most-recently-loaded oracles kept alive, keyed by full build recipe.
-_LOAD_CACHE: "OrderedDict[tuple, DistanceOracle]" = OrderedDict()
-_LOAD_CACHE_CAPACITY = 4
-
-
 def load(
     graph_spec: str,
     *,
@@ -237,26 +231,20 @@ def load(
     telemetry=None,
     use_cache: bool = True,
 ) -> DistanceOracle:
-    """Build (or reuse) the oracle tables for a ``family:arg:arg`` spec.
+    """Build the oracle tables for a ``family:arg:arg`` spec.
 
     This is the one table-loading path shared by ``repro oracle``, the
-    ``repro serve`` daemon and the loadgen validator.  The full build
-    recipe ``(graph_spec, seed, k, c, overlap_budget)`` keys a small LRU
-    memo; builds are deterministic in the recipe, so a memo hit is
-    indistinguishable from a rebuild (modulo time).  ``use_cache=False``
-    bypasses the memo both ways (no lookup, no store).  The CLI and the
-    repository benchmark both pass it, so no caller in this repository
-    relies on the memo.
+    ``repro serve`` daemon and the loadgen validator.  Every call builds:
+    builds are deterministic in the recipe ``(graph_spec, seed, k, c,
+    overlap_budget)``, and each caller loads a recipe once per process.
+    ``use_cache`` has no effect; it is accepted so that existing callers
+    that pass it keep working.
     """
     from ..graphs.builders import parse_graph_spec
     from .build import build_oracle
 
-    key = (graph_spec, seed, k, c, overlap_budget)
-    if use_cache and key in _LOAD_CACHE:
-        _LOAD_CACHE.move_to_end(key)
-        return _LOAD_CACHE[key]
     graph = parse_graph_spec(graph_spec, seed=seed)
-    oracle = build_oracle(
+    return build_oracle(
         graph,
         k=k,
         c=c,
@@ -264,8 +252,3 @@ def load(
         overlap_budget=overlap_budget,
         telemetry=telemetry,
     )
-    if use_cache:
-        _LOAD_CACHE[key] = oracle
-        while len(_LOAD_CACHE) > _LOAD_CACHE_CAPACITY:
-            _LOAD_CACHE.popitem(last=False)
-    return oracle

@@ -66,6 +66,7 @@ from .core import (
     parse_setting,
     reset,
     resolve,
+    scoped,
     shutdown,
 )
 from .critical import critical_path, lag_timeline, node_lag, slack_stats
@@ -104,6 +105,7 @@ __all__ = [
     "read_trace",
     "reset",
     "resolve",
+    "scoped",
     "shutdown",
     "snapshot",
     "usage_block",

@@ -30,6 +30,7 @@ get from :func:`resolve` when no explicit object is passed:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from time import perf_counter
 
 from ..errors import ParameterError
@@ -46,6 +47,7 @@ __all__ = [
     "parse_setting",
     "reset",
     "resolve",
+    "scoped",
     "shutdown",
 ]
 
@@ -233,6 +235,35 @@ class Telemetry:
             self.hists[name] = hist
         return hist
 
+    def graft(self, child: "Telemetry") -> None:
+        """Re-emit ``child``'s records into this trace.
+
+        ``child``'s root spans become children of this trace's innermost
+        open span (paths and depths are prefixed, start offsets moved to
+        this trace's epoch); round and causal records follow as they
+        are, and histograms merge.  A process-pool worker records a
+        trial into its own ``child`` trace, and the parent grafts it, so
+        the trial lands where the serial path would have recorded it.
+        """
+        parent = self._stack[-1] if self._stack else None
+        shift = child.epoch - self.epoch
+        for record in child.spans:
+            record = dict(record, start=round(record["start"] + shift, 9))
+            if parent is not None:
+                if record["depth"] == 0:
+                    parent._children_seconds += record["seconds"]
+                record["path"] = f"{parent.path}/{record['path']}"
+                record["depth"] += parent.depth + 1
+            self._keep(self.spans, record)
+        for record in child.rounds:
+            self._keep(self.rounds, record)
+        for record in child.causal:
+            self._keep(self.causal, record)
+        for name, hist in child.hists.items():
+            mine = self.hists.get(name)
+            self.hists[name] = hist if mine is None else mine.merge(hist)
+        self.truncated = self.truncated or child.truncated
+
     def _keep(self, collector: list[dict], record: dict) -> None:
         if len(collector) >= self.limit:
             self.truncated = True
@@ -359,6 +390,23 @@ def resolve(telemetry: Telemetry | None = None) -> Telemetry | None:
     if _from_env is _ENV_UNREAD:
         _from_env = parse_setting(os.environ.get("REPRO_TELEMETRY", "off"))
     return _from_env  # type: ignore[return-value]
+
+
+@contextmanager
+def scoped(telemetry: Telemetry):
+    """Make ``telemetry`` the ambient trace inside a ``with`` block.
+
+    Nothing is closed or flushed; the previous ambient trace is back
+    after the block.  A process-pool worker runs each traced trial
+    under this, so the records go to the worker's own trace and never
+    to the copy of the parent's trace that the process inherited.
+    """
+    global _ambient
+    previous, _ambient = _ambient, telemetry
+    try:
+        yield telemetry
+    finally:
+        _ambient = previous
 
 
 def shutdown() -> None:

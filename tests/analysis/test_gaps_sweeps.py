@@ -1,4 +1,4 @@
-"""Tests for in-run gap statistics and the sweep framework."""
+"""Tests for in-run gap statistics."""
 
 from __future__ import annotations
 
@@ -6,14 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    GapStatistics,
-    Sweep,
-    aggregate,
-    gap_profile,
-    phase_gap_statistics,
-    run_sweep,
-)
+from repro.analysis import GapStatistics, gap_profile, phase_gap_statistics
 from repro.core.carving import carve_block
 from repro.core.shifts import sample_phase_radii
 from repro.errors import ParameterError
@@ -96,58 +89,3 @@ class TestGapProfile:
     def test_validation(self):
         with pytest.raises(ParameterError):
             gap_profile(path_graph(3), beta=1.0, phases=0)
-
-
-class TestSweepFramework:
-    @staticmethod
-    def runner(seed: int, n: int, k: int):
-        return {"value": n * k + seed, "flag": seed % 2 == 0}
-
-    def test_points_cartesian(self):
-        sweep = Sweep(self.runner, {"n": [1, 2], "k": [10, 20]})
-        points = sweep.points()
-        assert len(points) == 4
-        assert {"n": 2, "k": 10} in points
-
-    def test_run_sweep_records(self):
-        sweep = Sweep(self.runner, {"n": [2], "k": [3]}, seeds=[0, 1, 2])
-        records = run_sweep(sweep)
-        assert len(records) == 3
-        assert records[0] == {"n": 2, "k": 3, "seed": 0, "value": 6, "flag": True}
-
-    def test_aggregate(self):
-        sweep = Sweep(self.runner, {"n": [2, 4], "k": [3]}, seeds=[0, 1])
-        rows = aggregate(run_sweep(sweep), group_by=["n", "k"], metrics=["value"])
-        assert len(rows) == 2
-        first = next(row for row in rows if row["n"] == 2)
-        assert first["runs"] == 2
-        assert first["value_mean"] == pytest.approx(6.5)
-        assert first["value_min"] == 6
-        assert first["value_max"] == 7
-
-    def test_aggregate_validation(self):
-        with pytest.raises(ParameterError):
-            aggregate([], group_by=[], metrics=["x"])
-        with pytest.raises(ParameterError):
-            aggregate([{"a": 1}], group_by=["missing"], metrics=[])
-
-    def test_end_to_end_decomposition_sweep(self):
-        from repro.core import elkin_neiman
-
-        def decompose_runner(seed: int, k: int):
-            graph = erdos_renyi(40, 0.1, seed=7)
-            decomposition, trace = elkin_neiman.decompose(graph, k=k, seed=seed)
-            return {
-                "colors": decomposition.num_colors,
-                "diameter": decomposition.max_strong_diameter(),
-            }
-
-        sweep = Sweep(decompose_runner, {"k": [2, 4]}, seeds=[0, 1, 2])
-        rows = aggregate(
-            run_sweep(sweep), group_by=["k"], metrics=["colors", "diameter"]
-        )
-        small_k, big_k = rows[0], rows[1]
-        assert small_k["k"] == 2 and big_k["k"] == 4
-        # More radius -> fewer colours on average; diameter bound grows.
-        assert big_k["colors_mean"] < small_k["colors_mean"]
-        assert big_k["diameter_max"] <= 2 * 4 - 2 + 4  # slack for trunc events

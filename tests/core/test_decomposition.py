@@ -185,3 +185,89 @@ class TestFromBlocks:
         assert d.num_clusters == 0
         d.validate()
         assert d.max_strong_diameter() == 0.0
+
+
+class TestFromCenters:
+    def test_ls_shaped_labels(self):
+        """Colour = phase - 1; a center may label two phases' classes, and
+        may itself be no member of its class."""
+        g = path_graph(6)
+        center_of = {0: 1, 2: 1, 1: 3, 3: 3, 4: 5, 5: 1}
+        color_of = {0: 0, 2: 0, 1: 1, 3: 1, 4: 0, 5: 1}
+        d = NetworkDecomposition.from_centers(g, center_of, color_of)
+        assert [(c.index, c.color, c.center, sorted(c.vertices)) for c in d.clusters] == [
+            (0, 0, 1, [0, 2]),
+            (1, 0, 5, [4]),
+            (2, 1, 1, [5]),
+            (3, 1, 3, [1, 3]),
+        ]
+        assert d.is_partition()
+
+    def test_mpx_shaped_labels(self):
+        """Colour = the center's rank: clusters in center order, each its
+        own colour."""
+        g = cycle_graph(6)
+        center_of = {0: 4, 1: 4, 2: 2, 3: 2, 4: 4, 5: 0}
+        rank = {0: 0, 2: 1, 4: 2}
+        d = NetworkDecomposition.from_centers(
+            g, center_of, {v: rank[c] for v, c in center_of.items()}
+        )
+        assert [(c.index, c.color, c.center, sorted(c.vertices)) for c in d.clusters] == [
+            (0, 0, 0, [5]),
+            (1, 1, 2, [2, 3]),
+            (2, 2, 4, [0, 1, 4]),
+        ]
+        assert d.num_colors == 3
+
+    def test_empty(self):
+        d = NetworkDecomposition.from_centers(Graph(0), {}, {})
+        assert d.num_clusters == 0
+        d.validate()
+
+
+class TestCutEdges:
+    def test_matches_brute_force(self):
+        from repro.baselines import linial_saks, mpx
+        from repro.graphs import erdos_renyi, grid_graph
+
+        for g in (erdos_renyi(80, 0.06, seed=3), grid_graph(7, 9)):
+            for d in (
+                linial_saks.decompose(g, k=3, seed=4)[0],
+                mpx.partition(g, beta=0.6, seed=4).decomposition,
+            ):
+                brute = sum(
+                    1
+                    for u in g.vertices()
+                    for v in g.neighbors(u)
+                    if u < v and d.cluster_of(u) is not d.cluster_of(v)
+                )
+                assert d.cut_edges() == brute
+
+    def test_path_decomposition(self):
+        _, d = make_path_decomposition()
+        assert d.cut_edges() == 2
+
+    def test_no_edges(self):
+        d = NetworkDecomposition.from_centers(Graph(3), {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 0})
+        assert d.cut_edges() == 0
+
+
+class TestLeader:
+    def test_member_center_leads(self):
+        assert Cluster(index=0, color=0, vertices=frozenset({3, 5}), center=5).leader == 5
+
+    def test_no_center_falls_back_to_smallest_member(self):
+        assert Cluster(index=0, color=0, vertices=frozenset({7, 4})).leader == 4
+
+    def test_ls_center_outside_its_class(self):
+        """A Linial–Saks center need not join its own class; the smallest
+        member then leads."""
+        from repro.baselines import linial_saks
+        from repro.graphs import erdos_renyi
+
+        g = erdos_renyi(120, 0.05, seed=7)
+        d, _ = linial_saks.decompose(g, k=3, seed=7)
+        outside = [c for c in d.clusters if c.center not in c.vertices]
+        assert outside
+        for cluster in outside:
+            assert cluster.leader == min(cluster.vertices)

@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.baselines import ball_carving, linial_saks
+from repro.baselines import ball_carving, distributed_ls, distributed_mpx, linial_saks, mpx
 from repro.core import elkin_neiman, high_radius, staged
 from repro.core.distributed_en import decompose_distributed
 from repro.graphs import parse_graph_spec
@@ -57,6 +57,35 @@ def test_linial_saks_golden(spec, k, seed):
     graph = parse_graph_spec(spec, seed=seed)
     decomposition, _ = linial_saks.decompose(graph, k=k, seed=seed)
     assert cluster_map(decomposition) == want["ls"]
+
+
+@pytest.mark.parametrize("backend", ["sync", "batch"])
+@pytest.mark.parametrize("spec,k,seed", CASES[:2])
+def test_distributed_linial_saks_golden(spec, k, seed, backend):
+    want = GOLDEN[f"{spec}|k={k}|seed={seed}"]
+    graph = parse_graph_spec(spec, seed=seed)
+    result = distributed_ls.decompose_distributed(graph, k=k, seed=seed, backend=backend)
+    assert cluster_map(result.decomposition) == want["ls"]
+
+
+MPX_CASES = [("grid:12:12", 0.5, 11), ("tree:2:7", 0.5, 5)]
+
+
+@pytest.mark.parametrize("backend", [None, "sync", "batch"])
+@pytest.mark.parametrize("spec,beta,seed", MPX_CASES)
+def test_mpx_golden(spec, beta, seed, backend):
+    """Centralized MPX (``backend=None``) and the distributed partition
+    on both backends reproduce the pinned clusters and cut."""
+    want = GOLDEN[f"mpx|{spec}|beta={beta}|seed={seed}"]
+    graph = parse_graph_spec(spec, seed=seed)
+    if backend is None:
+        result = mpx.partition(graph, beta=beta, seed=seed)
+    else:
+        result = distributed_mpx.partition_distributed(
+            graph, beta=beta, seed=seed, backend=backend
+        )
+    assert cluster_map(result.decomposition) == want["mpx"]
+    assert result.cut_edges == want["cut_edges"]
 
 
 @pytest.mark.parametrize("spec,k,seed", CASES)

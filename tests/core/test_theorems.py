@@ -94,6 +94,18 @@ class TestTheorem1:
             outcomes.append(trace.exhausted_within_nominal)
         assert sum(outcomes) >= 6
 
+    def test_mean_colors_fall_as_k_grows(self):
+        """More radius, fewer colours: over seeds 0-2 on one graph the mean
+        colour count at k=4 is below the one at k=2, and the strong
+        diameter stays within 2k-2 plus slack for truncation events."""
+        g = erdos_renyi(40, 0.1, seed=7)
+        mean_colors = {}
+        for k in (2, 4):
+            runs = [elkin_neiman.decompose(g, k=k, seed=seed)[0] for seed in range(3)]
+            mean_colors[k] = sum(d.num_colors for d in runs) / len(runs)
+            assert max(d.max_strong_diameter() for d in runs) <= 2 * k - 2 + 4
+        assert mean_colors[4] < mean_colors[2]
+
 
 class TestTheorem2:
     def test_guarantees(self):

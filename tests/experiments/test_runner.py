@@ -14,6 +14,7 @@ from repro.experiments import (
     run_trial,
 )
 from repro.experiments.spec import TrialSpec
+from repro.telemetry import Telemetry, configure, reset
 
 
 def er_spec(trials: int = 4, **overrides) -> ExperimentSpec:
@@ -63,6 +64,42 @@ class TestParallelEquivalence:
         serial = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=3)
         assert serial.records == parallel.records
+
+
+class TestTracing:
+    @pytest.fixture(autouse=True)
+    def _isolated_ambient(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        reset()
+        yield
+        reset()
+
+    @staticmethod
+    def _traced_spans(workers: int) -> list[dict]:
+        spec = er_spec(trials=3, algorithm="congest")
+        tel = configure(Telemetry())
+        try:
+            run_experiment(spec, workers=workers)
+        finally:
+            reset()
+        return tel.spans
+
+    def test_pool_trials_land_under_experiment(self):
+        """A pool worker's trial span (key, resources) and the spans
+        nested in it reach the parent's trace, as on the serial path."""
+
+        def tree(spans):
+            return sorted(
+                (s["path"], s["depth"], s["attrs"].get("key", "")) for s in spans
+            )
+
+        serial, parallel = self._traced_spans(1), self._traced_spans(2)
+        assert tree(parallel) == tree(serial)
+        trials = [s for s in parallel if s["name"] == "trial"]
+        assert len(trials) == 3
+        assert all(s["path"] == "experiment/trial" for s in trials)
+        assert all("resources" in s["attrs"] for s in trials)
+        assert any(s["path"].startswith("experiment/trial/") for s in parallel)
 
 
 class TestCacheIntegration:

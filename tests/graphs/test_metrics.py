@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from repro.errors import GraphError
 from repro.graphs import (
+    ActiveSet,
     Graph,
     all_pairs_distances,
     average_distance,
@@ -112,6 +114,23 @@ class TestStrongWeakDiameter:
     def test_weak_inf_across_components(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert math.isinf(weak_diameter(g, [0, 2]))
+
+    def test_strong_equals_masked_host_diameter(self, zoo_graph):
+        """The induced-subgraph diameter equals the diameter of the host
+        graph restricted to a member mask, on connected, disconnected,
+        singleton and empty clusters."""
+        n = zoo_graph.num_vertices
+        clusters = [[], [0] if n else [], [v for v in range(n) if v % 3 != 1]]
+        clusters += [list(range(0, n, 2)), list(range(n // 2)), [0, n - 1] if n else []]
+        for cluster in clusters:
+            masked = diameter(zoo_graph, active=ActiveSet.from_iterable(n, cluster))
+            assert strong_diameter(zoo_graph, cluster) == masked
+
+    def test_strong_rejects_out_of_range_members(self):
+        g = path_graph(4)
+        for cluster in ([7], [-1], [0, 9]):
+            with pytest.raises(GraphError):
+                strong_diameter(g, cluster)
 
 
 class TestAverageDistance:

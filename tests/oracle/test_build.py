@@ -229,3 +229,18 @@ class TestBuildPolicy:
         oracle = build_oracle(Graph(1))
         assert oracle.num_scales == 1
         assert oracle.distances([(0, 0)]) == [0]
+
+
+class TestLoad:
+    def test_repeated_load_builds_again(self):
+        """``load()`` keeps no memo: two identical calls in one process
+        each build, and each emits its own ``oracle.build`` span."""
+        from repro.oracle import load
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        first = load("grid:5:5", seed=3, telemetry=tel)
+        second = load("grid:5:5", seed=3, telemetry=tel, use_cache=True)
+        assert first is not second
+        assert first.scale_rows() == second.scale_rows()
+        assert [span["name"] for span in tel.spans].count("oracle.build") == 2

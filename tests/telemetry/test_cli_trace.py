@@ -334,6 +334,23 @@ class TestProfileFlag:
         assert len(profiles) == 1
         assert profiles[0]["hz"] == 500.0
 
+    def test_profile_without_trace_attributes_spans(self, tmp_path, monkeypatch, capsys):
+        """Without --trace a profiled run keeps an in-memory trace, so its
+        rows carry span paths; it writes no file and stdout is the same."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["oracle", "build", "grid:30:30"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["--profile", "500", "oracle", "build", "grid:30:30"]) == 0
+        captured = capsys.readouterr()
+        assert "oracle.build" in captured.err
+        assert captured.out == plain
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_off_keeps_profile_rows_unattributed(self, capsys):
+        assert main(["--trace", "off", "--profile", "500", "oracle", "build", "grid:30:30"]) == 0
+        err = capsys.readouterr().err
+        assert "profile:" in err and "oracle.build" not in err
+
     def test_bad_profile_setting_is_a_parameter_error(self, capsys):
         assert main(["--profile", "warp", "oracle", "build", "grid:5:5"]) == 2
         assert "profile" in capsys.readouterr().err
